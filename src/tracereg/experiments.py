@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
+import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -168,15 +170,42 @@ def _calibration_quantile(cfg: ExperimentConfig, spec: EnsembleSpec, n: int) -> 
         f"d{cfg.d}_n{n}_sigma{cfg.sigma!r}_reps{cfg.calib_reps}_q{cfg.calib_quantile!r}_seed{cfg.seed}.json"
     )
     path = os.path.join(cfg.out_dir, key)
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return float(json.load(fh)["quantile_value"])
+    cached = _read_cached_quantile(path)
+    if cached is not None:
+        return cached
     rng = stream(child_seed(cfg.seed, "calibration", n))
     report = calibrate_lambda0(spec, n, cfg.sigma, 1.0, cfg.calib_reps, cfg.calib_quantile, rng)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"quantile_value": report.lambda0, "reps": cfg.calib_reps, "quantile": cfg.calib_quantile}, fh)
+    payload = {"quantile_value": report.lambda0, "reps": cfg.calib_reps, "quantile": cfg.calib_quantile}
+    # write beside the target, then rename over it, so an interrupted run
+    # never leaves a truncated cache file behind
+    fd, tmp = tempfile.mkstemp(dir=cfg.out_dir, prefix=key + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return report.lambda0
+
+
+def _read_cached_quantile(path: str) -> float | None:
+    """Cached quantile at ``path``, or None when there is none.  A file that
+    does not parse or holds no finite ``quantile_value`` is treated as
+    absent, with a warning, so the caller recomputes and overwrites it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            value = float(json.load(fh)["quantile_value"])
+    except FileNotFoundError:
+        return None
+    except (ValueError, KeyError, TypeError) as exc:
+        warnings.warn(f"ignoring unreadable calibration cache {path}: {exc!r}")
+        return None
+    if not math.isfinite(value):
+        warnings.warn(f"ignoring calibration cache {path}: quantile_value {value} is not finite")
+        return None
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +219,7 @@ def _oracle_path(ds: Dataset, b_star: np.ndarray, lam_floor: float) -> tuple[flo
     """Best relative error over the halving grid from the zero-solution
     threshold down to lam_floor, with warm starts; the winning lam is
     chosen with knowledge of the target."""
-    grid = [lambda_max(ds)]
-    while grid[-1] > lam_floor:
-        grid.append(grid[-1] / 2.0)
+    grid = lambda_grid(ds, lam_floor)
     warm = None
     best = (math.inf, grid[0], True)
     for lam in grid:

@@ -118,16 +118,22 @@ def numerical_rank(m, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-def soft_threshold(m, tau: float) -> np.ndarray:
+def soft_threshold(m, tau: float, singulars: np.ndarray | None = None) -> np.ndarray:
     """Shrink the singular values of ``m`` by ``tau`` (floored at zero).
 
     This is the proximal map of tau * nuclear norm: it minimizes
-    0.5 * ||X - m||_F^2 + tau * ||X||_* over X.
+    0.5 * ||X - m||_F^2 + tau * ||X||_* over X.  When ``singulars`` is
+    given (length min(m.shape)), it receives the shrunk singular values,
+    whose sum is the nuclear norm of the result.
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
     u, s, vh = np.linalg.svd(_as_matrix(m), full_matrices=False)
     s = np.maximum(s - tau, 0.0)
+    if singulars is not None:
+        if singulars.shape != s.shape:
+            raise ValueError(f"singulars buffer has shape {singulars.shape}, need {s.shape}")
+        singulars[...] = s
     return (u * s) @ vh
 
 

@@ -8,17 +8,22 @@ the noiseless minimum-nuclear-norm problem.  Every solve returns an
 Estimate carrying its certificate data, and ``check_goodness`` verifies
 a posteriori that an estimate's loss does not exceed the loss at the
 target matrix.
+
+The Lipschitz estimate is memoized per MeasurementSet object, so
+measurement sets must not be mutated in place once a solver has seen
+them; build a new set (for example with ``subset``) instead.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import matrix_norm, operator_norm, soft_threshold, svd
-from .sampling import Dataset, EnsembleSpec
+from .sampling import Dataset, EnsembleSpec, MeasurementSet
 
 __all__ = [
     "SolverConfig",
@@ -88,8 +93,7 @@ def objective(ds: Dataset, lam: float, b) -> float:
     if lam < 0:
         raise ValueError("lam must be non-negative")
     b = np.asarray(b, dtype=float)
-    resid = ds.y - ds.measurements.apply(b)
-    return float(resid @ resid / ds.n + lam * matrix_norm(b, "nuclear"))
+    return _penalized_loss(ds, lam, ds.measurements.apply(b), matrix_norm(b, "nuclear"))
 
 
 def lambda_max(ds: Dataset) -> float:
@@ -99,15 +103,31 @@ def lambda_max(ds: Dataset) -> float:
     return 2.0 / ds.n * operator_norm(ds.measurements.adjoint(ds.y))
 
 
+# power-iteration results per measurement set, keyed by iteration count;
+# entries vanish with their set
+_LIPSCHITZ_MEMO: weakref.WeakKeyDictionary[MeasurementSet, dict[int, float]] = weakref.WeakKeyDictionary()
+
+
 def lipschitz_estimate(ds: Dataset, iters: int = 20) -> float:
     """Power-iteration estimate of the Lipschitz constant of the smooth
-    part's gradient, i.e. the largest eigenvalue of b -> (2/n) X*(X(b))."""
-    ms = ds.measurements
+    part's gradient, i.e. the largest eigenvalue of b -> (2/n) X*(X(b)).
+
+    The estimate depends only on the measurements, so it is computed once
+    per MeasurementSet object and iteration count and then reused: every
+    lam solved on one training set shares one power iteration.
+    """
+    memo = _LIPSCHITZ_MEMO.setdefault(ds.measurements, {})
+    if iters not in memo:
+        memo[iters] = _power_iteration(ds.measurements, iters)
+    return memo[iters]
+
+
+def _power_iteration(ms: MeasurementSet, iters: int) -> float:
     b = np.ones(ms.shape)
     b /= np.linalg.norm(b)
     lam = 1.0
     for _ in range(iters):
-        nxt = ms.adjoint(ms.apply(b)) * (2.0 / ds.n)
+        nxt = ms.adjoint(ms.apply(b)) * (2.0 / len(ms))
         nrm = np.linalg.norm(nxt)
         if nrm == 0.0:
             return 1.0
@@ -116,9 +136,23 @@ def lipschitz_estimate(ds: Dataset, iters: int = 20) -> float:
     return float(lam)
 
 
-def _prox_grad_step(ds: Dataset, lam: float, b: np.ndarray, step: float) -> np.ndarray:
-    grad = ds.measurements.adjoint(ds.measurements.apply(b) - ds.y) * (2.0 / ds.n)
-    return soft_threshold(b - step * grad, lam * step)
+def _prox_grad_step(
+    ds: Dataset, lam: float, b: np.ndarray, xb: np.ndarray, step: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Proximal-gradient step from b, given xb = X(b).  Returns the new
+    point z, X(z) and the penalized loss at z, at the cost of one adjoint,
+    one apply and one SVD."""
+    ms = ds.measurements
+    grad = ms.adjoint(xb - ds.y) * (2.0 / ds.n)
+    shrunk = np.empty(min(ms.shape))
+    z = soft_threshold(b - step * grad, lam * step, singulars=shrunk)
+    xz = ms.apply(z)
+    return z, xz, _penalized_loss(ds, lam, xz, float(np.sum(shrunk)))
+
+
+def _penalized_loss(ds: Dataset, lam: float, xb: np.ndarray, nuclear: float) -> float:
+    resid = ds.y - xb
+    return float(resid @ resid / ds.n + lam * nuclear)
 
 
 def solve_convex(
@@ -135,37 +169,49 @@ def solve_convex(
     any step size at most 1/L.  Stops when the relative objective
     decrease falls below cfg.rel_obj_tol; hitting max_iters first yields
     converged=False rather than an exception.
+
+    Each proximal step costs one SVD, one adjoint and one apply: X(x) and
+    X(z) travel with the iterates, X(y) of the extrapolated point follows
+    by linearity, and the penalty at z is the sum of the shrunk singular
+    values.  With cfg.step=None the step is 1/L from
+    :func:`lipschitz_estimate`, which is memoized per measurement set.
     """
     if lam <= 0:
         raise ValueError("lam must be positive for the convex solver")
+    ms = ds.measurements
     step = cfg.step if cfg.step is not None else 1.0 / lipschitz_estimate(ds)
-    x = np.zeros(ds.measurements.shape) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = x.copy()
+    if x0 is None:
+        x = np.zeros(ms.shape)
+        nuclear = 0.0
+    else:
+        x = np.asarray(x0, dtype=float).copy()
+        nuclear = matrix_norm(x, "nuclear")
+    xx = ms.apply(x)
+    y, xy = x, xx
     t = 1.0
-    fx = objective(ds, lam, x)
+    fx = _penalized_loss(ds, lam, xx, nuclear)
     history = [fx]
     converged = False
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
-        z = _prox_grad_step(ds, lam, y, step)
-        fz = objective(ds, lam, z)
+        z, xz, fz = _prox_grad_step(ds, lam, y, xy, step)
         if fz > fx:
             # momentum overshot: restart from the best iterate
             t = 1.0
-            z = _prox_grad_step(ds, lam, x, step)
-            fz = objective(ds, lam, z)
+            z, xz, fz = _prox_grad_step(ds, lam, x, xx, step)
             while cfg.backtracking and fz > fx and step > 1e-18:
                 step *= cfg.bt_shrink
-                z = _prox_grad_step(ds, lam, x, step)
-                fz = objective(ds, lam, z)
+                z, xz, fz = _prox_grad_step(ds, lam, x, xx, step)
             if fz > fx:
                 # no descent direction left at working precision
                 converged = True
                 break
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = z + ((t - 1.0) / t_next) * (z - x)
+        beta = (t - 1.0) / t_next
+        y = z + beta * (z - x)
+        xy = xz + beta * (xz - xx)
         rel_dec = (fx - fz) / max(abs(fx), 1e-300)
-        x, fx, t = z, fz, t_next
+        x, xx, fx, t = z, xz, fz, t_next
         history.append(fx)
         if 0.0 <= rel_dec < cfg.rel_obj_tol:
             converged = True

@@ -88,6 +88,21 @@ class TestRunFigure1:
         second = run_figure1(cfg)
         assert [rec.relative_error for rec in first] == [rec.relative_error for rec in second]
 
+    @pytest.mark.parametrize("corrupt", ["", '{"quantile_va', '{"reps": 60}', '{"quantile_value": NaN}'])
+    def test_corrupt_calibration_cache_is_recomputed(self, tmp_path, corrupt):
+        argv = ["figure1", "--d", "10", "--r", "1", "--n", "120", "--replicates", "1", "--k-folds", "3",
+                "--seed", "4", "--calib-reps", "40", "--estimators", "theory1,oracle"]
+        clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+        assert main(argv + ["--out-dir", str(clean)]) == 0
+        assert main(argv + ["--out-dir", str(dirty)]) == 0
+        (cache,) = dirty.glob("calib_*.json")
+        cache.write_text(corrupt)
+        with pytest.warns(UserWarning, match="calibration cache"):
+            assert main(argv + ["--out-dir", str(dirty)]) == 0
+        assert (dirty / "records.csv").read_bytes() == (clean / "records.csv").read_bytes()
+        assert cache.read_bytes() == next(clean.glob("calib_*.json")).read_bytes()
+        assert sorted(os.listdir(dirty)) == sorted(os.listdir(clean))
+
     def test_mean_error_decreases_with_n(self, tmp_path):
         cfg = small_fig1_cfg(
             tmp_path, n_grid=(150, 300, 600), replicates=4, estimators=("oracle", "cv"), seed=3

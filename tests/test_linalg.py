@@ -149,6 +149,19 @@ class TestSoftThreshold:
             lhs = np.linalg.norm(soft_threshold(a, tau) - soft_threshold(b, tau))
             assert lhs <= np.linalg.norm(a - b) + 1e-10
 
+    @pytest.mark.parametrize("shape, tau", [((6, 6), 0.0), ((6, 6), 0.8), ((7, 4), 0.0), ((4, 9), 1.1)])
+    def test_singulars_buffer_holds_nuclear_norm_of_output(self, shape, tau):
+        m = stream(14).standard_normal(shape)
+        buf = np.full(min(shape), np.nan)
+        out = soft_threshold(m, tau, singulars=buf)
+        assert np.array_equal(out, soft_threshold(m, tau))
+        assert np.all(buf >= 0.0) and np.all(np.diff(buf) <= 0.0)
+        assert np.sum(buf) == pytest.approx(matrix_norm(out, "nuclear"), rel=1e-12)
+
+    def test_singulars_buffer_of_wrong_length_raises(self):
+        with pytest.raises(ValueError):
+            soft_threshold(np.eye(3), 0.1, singulars=np.empty(2))
+
 
 class TestProjections:
     def test_full_rank_b_spans_everything(self):

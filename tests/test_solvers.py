@@ -23,7 +23,8 @@ from tracereg import (
     stream,
     trace_inner,
 )
-from tracereg.solvers import lipschitz_estimate
+from tracereg import solvers
+from tracereg.solvers import _power_iteration, lipschitz_estimate
 from tracereg.theory import calibrate_lambda0
 
 
@@ -149,6 +150,66 @@ class TestSolveConvex:
         _, _, ds = mc_instance()
         with pytest.raises(ValueError):
             solve_convex(ds, 0.0)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("step_scale", [1.0, 4.0])
+    def test_one_svd_and_one_operator_pair_per_prox_step(self, monkeypatch, warm, step_scale):
+        # step_scale > 1 overshoots 1/L, forcing restarts and backtracking
+        _, _, ds = mc_instance(seed=30)
+        lam = 0.2 * lambda_max(ds)
+        x0 = solve_convex(ds, 2 * lam).b_hat if warm else None
+        cfg = SolverConfig(step=step_scale / lipschitz_estimate(ds))
+        counts = {"prox": 0, "svd": 0, "op": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        ms = ds.measurements
+        monkeypatch.setattr("tracereg.solvers.soft_threshold", counted("prox", soft_threshold))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(ms, "apply", counted("op", ms.apply))
+        monkeypatch.setattr(ms, "adjoint", counted("op", ms.adjoint))
+        est = solve_convex(ds, lam, cfg, x0=x0)
+        assert est.converged and counts["prox"] >= est.iters > 0
+        assert counts["svd"] <= counts["prox"] + 1
+        assert counts["op"] <= 2 * counts["prox"] + 2
+        assert est.objective == pytest.approx(objective(ds, lam, est.b_hat), rel=1e-12)
+
+
+@pytest.fixture()
+def power_runs(monkeypatch):
+    """Measurement sets handed to the power iteration, in call order."""
+    runs = []
+    monkeypatch.setattr(solvers, "_power_iteration", lambda ms, iters: runs.append(ms) or _power_iteration(ms, iters))
+    return runs
+
+
+class TestLipschitzEstimate:
+    def test_memoized_per_measurement_set(self, monkeypatch):
+        _, _, ds = mc_instance(seed=31)
+        first = lipschitz_estimate(ds)
+        applies = []
+        real_apply = ds.measurements.apply
+        monkeypatch.setattr(ds.measurements, "apply", lambda b: applies.append(1) or real_apply(b))
+        assert lipschitz_estimate(ds) == first
+        assert not applies
+
+    def test_subset_estimated_afresh(self, power_runs):
+        _, _, ds = mc_instance(seed=32)
+        lipschitz_estimate(ds)
+        sub = ds.subset(np.arange(0, ds.n, 2))
+        assert lipschitz_estimate(sub) == lipschitz_estimate(sub) == _power_iteration(sub.measurements, 20)
+        assert power_runs == [ds.measurements, sub.measurements]
+
+    def test_one_power_iteration_per_noiseless_solve(self, power_runs):
+        b_star = generate_ground_truth(10, 10, 2, stream(33))
+        ds = generate_dataset(GaussianEnsemble(10, 10), b_star, 150, 0.0, seed=34)
+        solve_noiseless(ds)
+        assert power_runs == [ds.measurements]
 
 
 class TestSolveFactored:
