@@ -3,7 +3,8 @@
 One subcommand per experiment (figure1, exact-recovery, rsc-probe,
 calibration).  Options may also come from a flat key=value config file;
 precedence is command line > file > defaults.  Exit codes: 0 success,
-2 configuration error, 3 I/O error.
+2 configuration error or any other ValueError (bad input or data), 3 I/O
+error; each failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -165,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
             _write_json(os.path.join(cfg.out_dir, "calibration.json"), run_calibration(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -61,9 +61,14 @@ def lambda_grid(ds: Dataset, lambda_min: float) -> list[float]:
     Starts at lambda_max(ds) and halves until a value at or below
     lambda_min is reached (that value is included).
     """
+    return _halving_grid(lambda_max(ds), lambda_min)
+
+
+def _halving_grid(top: float, lambda_min: float) -> list[float]:
+    """Halving grid from ``top`` down to the first value at or below
+    lambda_min; callers that already hold lambda_max(ds) pass it here."""
     if lambda_min <= 0:
         raise ValueError("lambda_min must be positive")
-    top = lambda_max(ds)
     if top == 0.0:
         raise ValueError("all responses are zero; the grid is empty")
     grid = [top]

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .crossval import cv_select, default_solver, lambda_grid, make_folds
+from .crossval import _halving_grid, cv_select, default_solver, make_folds
 from .rng import stream
 from .sampling import (
     Dataset,
@@ -162,11 +162,18 @@ def make_ensemble(cfg: ExperimentConfig) -> EnsembleSpec:
 # ---------------------------------------------------------------------------
 
 
+# Version of the calibration-cache key.  Bump it whenever a change moves
+# the computed quantiles, even in the last bits (version 2: operator norms
+# from the Gram matrix), so a stale file is never read in place of a fresh
+# run and records.csv stays identical to a clean run.
+_CALIB_FORMAT = 2
+
+
 def _calibration_quantile(cfg: ExperimentConfig, spec: EnsembleSpec, n: int) -> float:
     """Upper-quantile of ||(1/n) sum eps_i X_i||_op (multiplier 1), cached
-    per (ensemble, d, n, sigma, reps, quantile, seed) in out_dir."""
+    per (format, ensemble, d, n, sigma, reps, quantile, seed) in out_dir."""
     key = (
-        f"calib_{cfg.ensemble}_{'plain_' if getattr(spec, 'plain_entries', False) else ''}"
+        f"calib_v{_CALIB_FORMAT}_{cfg.ensemble}_{'plain_' if getattr(spec, 'plain_entries', False) else ''}"
         f"d{cfg.d}_n{n}_sigma{cfg.sigma!r}_reps{cfg.calib_reps}_q{cfg.calib_quantile!r}_seed{cfg.seed}.json"
     )
     path = os.path.join(cfg.out_dir, key)
@@ -215,11 +222,9 @@ def _read_cached_quantile(path: str) -> float | None:
 _FIG1_SOLVER = SolverConfig(max_iters=2000, rel_obj_tol=1e-7)
 
 
-def _oracle_path(ds: Dataset, b_star: np.ndarray, lam_floor: float) -> tuple[float, float, bool]:
-    """Best relative error over the halving grid from the zero-solution
-    threshold down to lam_floor, with warm starts; the winning lam is
-    chosen with knowledge of the target."""
-    grid = lambda_grid(ds, lam_floor)
+def _oracle_path(ds: Dataset, b_star: np.ndarray, grid: list[float]) -> tuple[float, float, bool]:
+    """Best relative error over a decreasing lam grid, with warm starts;
+    the winning lam is chosen with knowledge of the target."""
     warm = None
     best = (math.inf, grid[0], True)
     for lam in grid:
@@ -245,6 +250,8 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
             data_seed = child_seed(cfg.seed, "data", n, rep)
             b_star = generate_ground_truth(cfg.d, cfg.d, cfg.r, stream(child_seed(cfg.seed, "target", n, rep)))
             ds = generate_dataset(spec, b_star, n, cfg.sigma, seed=data_seed)
+            # the oracle and cv grids both start at the zero-solution threshold
+            top = lambda_max(ds) if {"oracle", "cv"} & set(cfg.estimators) else None
             for name in cfg.estimators:
                 if name.startswith("theory"):
                     mult = float(name[len("theory") :])
@@ -253,11 +260,10 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                     err, lam_used, conv = relative_error(est.b_hat, b_star), lam0, est.converged
                 elif name == "oracle":
                     lam_floor = max(3.0 * base_quantile / 2.0, 1e-12)
-                    err, lam_used, conv = _oracle_path(ds, b_star, lam_floor)
+                    err, lam_used, conv = _oracle_path(ds, b_star, _halving_grid(top, lam_floor))
                 elif name == "cv":
                     plan = make_folds(n, cfg.k_folds, stream(child_seed(cfg.seed, "folds", n, rep)))
-                    grid = lambda_grid(ds, 0.01 * lambda_max(ds))
-                    result = cv_select(ds, plan, grid, default_solver(_FIG1_SOLVER))
+                    result = cv_select(ds, plan, _halving_grid(top, 0.01 * top), default_solver(_FIG1_SOLVER))
                     err, lam_used, conv = relative_error(result.b_cv, b_star), result.lambda_cv, result.converged
                 else:  # pragma: no cover - validate() rejects unknown names
                     raise ConfigError(f"unknown estimator {name!r}")

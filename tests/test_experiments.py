@@ -1,10 +1,13 @@
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tracereg import cli, experiments, solvers
 from tracereg.cli import load_config_file, main
+from tracereg.crossval import lambda_grid
 from tracereg.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -18,6 +21,7 @@ from tracereg.experiments import (
     run_rsc_probe,
     summarize,
 )
+from tracereg.solvers import lambda_max
 
 
 def small_fig1_cfg(out_dir, **overrides):
@@ -102,6 +106,52 @@ class TestRunFigure1:
         assert (dirty / "records.csv").read_bytes() == (clean / "records.csv").read_bytes()
         assert cache.read_bytes() == next(clean.glob("calib_*.json")).read_bytes()
         assert sorted(os.listdir(dirty)) == sorted(os.listdir(clean))
+
+    def test_cache_under_pre_version_key_is_not_read(self, tmp_path):
+        argv = ["figure1", "--d", "10", "--r", "1", "--n", "120", "--replicates", "1", "--k-folds", "3",
+                "--seed", "4", "--calib-reps", "40", "--estimators", "theory1,oracle"]
+        clean, stale = tmp_path / "clean", tmp_path / "stale"
+        assert main(argv + ["--out-dir", str(clean)]) == 0
+        (cache,) = clean.glob("calib_*.json")
+        assert cache.name.startswith(f"calib_v{experiments._CALIB_FORMAT}_")
+        # the same file under the key the cache used before it carried a version
+        stale.mkdir()
+        old = stale / cache.name.replace(f"calib_v{experiments._CALIB_FORMAT}_", "calib_")
+        old.write_text('{"quantile_value": 123.0, "reps": 40, "quantile": 0.9}')
+        assert main(argv + ["--out-dir", str(stale)]) == 0
+        assert (stale / "records.csv").read_bytes() == (clean / "records.csv").read_bytes()
+        assert (stale / cache.name).read_bytes() == cache.read_bytes()
+        assert old.read_text() == '{"quantile_value": 123.0, "reps": 40, "quantile": 0.9}'
+
+    def test_one_lambda_max_per_replicate_and_grids_unchanged(self, tmp_path, monkeypatch):
+        cfg = small_fig1_cfg(tmp_path, replicates=2)
+        run_figure1(replace(cfg, estimators=()))  # fills the calibration cache
+        seen, norms = [], []
+        real_cv, real_oracle, real_norm = experiments.cv_select, experiments._oracle_path, solvers.operator_norm
+
+        def cv_select(ds, plan, grid, solver):
+            seen.append(("cv", ds, grid))
+            return real_cv(ds, plan, grid, solver)
+
+        def oracle_path(ds, b_star, grid):
+            seen.append(("oracle", ds, grid))
+            return real_oracle(ds, b_star, grid)
+
+        def operator_norm(m):
+            norms.append(m.shape)
+            return real_norm(m)
+
+        monkeypatch.setattr(experiments, "cv_select", cv_select)
+        monkeypatch.setattr(experiments, "_oracle_path", oracle_path)
+        monkeypatch.setattr(solvers, "operator_norm", operator_norm)
+        run_figure1(cfg)
+        assert len(norms) == cfg.replicates  # lambda_max: calibration is cached, theory* needs none
+        monkeypatch.undo()
+        base = experiments._calibration_quantile(cfg, experiments.make_ensemble(cfg), cfg.n_grid[0])
+        assert [name for name, _, _ in seen] == ["oracle", "cv"] * cfg.replicates
+        for name, ds, grid in seen:
+            lam_min = 0.01 * lambda_max(ds) if name == "cv" else max(3.0 * base / 2.0, 1e-12)
+            assert grid == lambda_grid(ds, lam_min)
 
     def test_mean_error_decreases_with_n(self, tmp_path):
         cfg = small_fig1_cfg(
@@ -269,6 +319,15 @@ class TestCli:
             ]
         )
         assert code == 3
+
+    def test_value_error_during_run_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(cli, "run_figure1", fail)
+        code = main(["figure1", "--d", "6", "--n", "50", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: injected failure\n"
 
     def test_calibration_json_output(self, tmp_path):
         out = tmp_path / "cal"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracereg import (
     matrix_norm,
@@ -202,3 +204,54 @@ def test_numerical_rank_cutoff():
     b = np.diag([1.0, 1e-8, 1e-12])
     assert numerical_rank(b) == 2
     assert numerical_rank(np.zeros((3, 3))) == 0
+
+
+# Accuracy of the Gram-matrix kernels against a local gesdd reference, over
+# tall, wide, square, 1 x k and k x 1 matrices of random rank (rank 0 is
+# the zero matrix) with singular values spread over 1e-9..1.
+_SHAPES = {
+    "tall": lambda p, q: (p + q, p),
+    "wide": lambda p, q: (p, p + q),
+    "square": lambda p, q: (p, p),
+    "row": lambda p, q: (1, q),
+    "column": lambda p, q: (q, 1),
+}
+_KERNEL_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def _spectral_matrices(draw):
+    shape = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))](draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    rank = draw(st.integers(0, min(shape)))
+    exponents = draw(st.lists(st.floats(-9.0, 0.0), min_size=rank, max_size=rank))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(rng.standard_normal((shape[0], rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], rank)))[0]
+    return (u * np.sort(10.0 ** np.asarray(exponents))[::-1]) @ v.T
+
+
+def _gesdd_soft_threshold(m, tau):
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    shrunk = np.maximum(s - tau, 0.0)
+    return (u * shrunk) @ vh, shrunk
+
+
+class TestGramKernelAccuracy:
+    @_KERNEL_SETTINGS
+    @given(m=_spectral_matrices(), log_ratio=st.floats(-0.5, 6.0))
+    def test_soft_threshold_matches_gesdd(self, m, log_ratio):
+        # tau = s_max / 10**log_ratio; the error bound is about eps * s_max / tau
+        s_max = np.linalg.norm(m, 2)
+        tau = (s_max if s_max > 0 else 1.0) / 10.0**log_ratio
+        buf = np.full(min(m.shape), np.nan)
+        out = soft_threshold(m, tau, singulars=buf)
+        ref, ref_shrunk = _gesdd_soft_threshold(m, tau)
+        bound = 1e-12 if log_ratio <= 3.0 else 1e-9
+        assert np.linalg.norm(out - ref) <= bound * np.linalg.norm(m)
+        assert np.all(buf >= 0.0) and np.all(np.diff(buf) <= 0.0)
+        assert np.max(np.abs(buf - ref_shrunk)) <= bound * s_max
+
+    @_KERNEL_SETTINGS
+    @given(m=_spectral_matrices())
+    def test_operator_norm_matches_two_norm(self, m):
+        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0.0)
