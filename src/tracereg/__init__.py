@@ -20,23 +20,18 @@ from .linalg import (
 )
 from .rng import stream
 from .sampling import (
+    ENSEMBLES,
     Dataset,
-    Dense,
     DenseSet,
     EnsembleConstants,
-    Entry,
     EntrySet,
     FactoredMeasurement,
     GaussianEnsemble,
     MatrixCompletion,
     MeasurementSet,
     MultiTask,
-    RankOne,
     RankOneSet,
-    RowVector,
     RowVectorSet,
-    adjoint_apply,
-    apply_operator,
     generate_dataset,
     generate_ground_truth,
     load_dataset,
@@ -54,7 +49,7 @@ from .solvers import (
     solve_factored,
     solve_noiseless,
 )
-from .crossval import CvResult, FoldPlan, cv_error, cv_select, default_solver, lambda_grid, make_folds
+from .crossval import CvResult, FoldPlan, cv_select, default_solver, lambda_grid, make_folds
 from .theory import (
     CalibrationReport,
     RademacherSketch,

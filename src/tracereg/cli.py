@@ -25,6 +25,7 @@ from .experiments import (
     run_rsc_probe,
     summarize,
 )
+from .sampling import ENSEMBLES
 
 _TUPLE_INT_KEYS = {"n_grid"}
 _TUPLE_STR_KEYS = {"estimators"}
@@ -73,7 +74,7 @@ def load_config_file(path: str) -> dict:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--ensemble", choices=["matrix_completion", "multi_task", "gaussian_ensemble", "factored_measurement"])
+    parser.add_argument("--ensemble", choices=list(ENSEMBLES))
     parser.add_argument("--d", type=int)
     parser.add_argument("--r", type=int)
     parser.add_argument("--sigma", type=float)
@@ -83,10 +84,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--estimators", help="comma-separated subset of theory1,theory2,theory3,oracle,cv")
     parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--calib-reps", dest="calib_reps", type=int)
+    parser.add_argument("--calib-reps", "--reps", dest="calib_reps", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--multiplier", type=float)
-    parser.add_argument("--reps", dest="calib_reps_alias", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--quantile", dest="calib_quantile", type=float)
     parser.add_argument("--paper-scale", dest="paper_scale", action="store_true", default=None)
 
@@ -123,8 +123,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None:
             values[key] = val
-    if getattr(args, "calib_reps_alias", None) is not None:
-        values["calib_reps"] = args.calib_reps_alias
     if getattr(args, "n_grid", None) is not None:
         values["n_grid"] = _parse_value("n_grid", args.n_grid)
     if getattr(args, "estimators", None) is not None:

@@ -20,7 +20,6 @@ __all__ = [
     "CvResult",
     "make_folds",
     "lambda_grid",
-    "cv_error",
     "cv_select",
     "default_solver",
 ]
@@ -87,25 +86,6 @@ def default_solver(cfg: SolverConfig = SolverConfig()):
     return run
 
 
-def cv_error(ds: Dataset, plan: FoldPlan, lam: float, solver) -> float:
-    """Per-sample out-of-fold prediction error at one lam:
-    (1/n) sum_k ||y_k - X_k(B_{-k})||^2.
-
-    The underlying fold sum is stored per sample so it compares directly
-    with per-observation noise levels; the argmin over lam is unchanged
-    by the normalization.
-    """
-    if len(plan.assignments) != ds.n:
-        raise ValueError("fold plan does not cover the dataset")
-    total = 0.0
-    for fold in range(plan.k):
-        est = solver(ds.subset(plan.complement(fold)), lam, None)
-        hold = ds.subset(plan.indices(fold))
-        resid = hold.y - hold.measurements.apply(est.b_hat)
-        total += float(resid @ resid)
-    return total / ds.n
-
-
 @dataclass(frozen=True)
 class CvResult:
     """Grid, per-lam out-of-fold errors, the winning lam, the averaged
@@ -123,9 +103,14 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, solver) -> CvResult:
     """Compute out-of-fold errors over a decreasing lam grid and return
     the fold-size-weighted average estimator at the best lam.
 
-    Fold fits are warm-started along the grid.  Ties at the minimum go
-    to the largest lam (strongest regularization).
+    Fold fits are warm-started along the grid, so the first lam's fits
+    are cold.  ``e_hat[j]`` is the per-sample out-of-fold prediction error
+    (1/n) sum_k ||y_k - X_k(B_{-k})||^2 at grid[j], stored per sample so it
+    compares directly with per-observation noise levels.  Ties at the
+    minimum go to the largest lam (strongest regularization).
     """
+    if len(plan.assignments) != ds.n or np.any((plan.assignments < 0) | (plan.assignments >= plan.k)):
+        raise ValueError("fold plan does not cover the dataset")
     grid = [float(g) for g in grid]
     if len(grid) == 0:
         raise ValueError("lam grid must be non-empty")

@@ -21,16 +21,7 @@ import numpy as np
 
 from .crossval import _halving_grid, cv_select, default_solver, make_folds
 from .rng import stream
-from .sampling import (
-    Dataset,
-    EnsembleSpec,
-    FactoredMeasurement,
-    GaussianEnsemble,
-    MatrixCompletion,
-    MultiTask,
-    generate_dataset,
-    generate_ground_truth,
-)
+from .sampling import ENSEMBLES, Dataset, EnsembleSpec, MatrixCompletion, generate_dataset, generate_ground_truth
 from .solvers import SolverConfig, lambda_max, solve_convex, solve_noiseless
 from .theory import calibrate_lambda0, rsc_probe
 
@@ -51,13 +42,6 @@ __all__ = [
 ]
 
 ALL_ESTIMATORS = ("theory1", "theory2", "theory3", "oracle", "cv")
-
-_ENSEMBLES = {
-    "matrix_completion": MatrixCompletion,
-    "multi_task": MultiTask,
-    "gaussian_ensemble": GaussianEnsemble,
-    "factored_measurement": FactoredMeasurement,
-}
 
 
 class ConfigError(ValueError):
@@ -89,7 +73,7 @@ class ExperimentConfig:
             cfg = replace(cfg, replicates=100, calib_reps=1000)
         if cfg.experiment not in ("figure1", "exact_recovery", "rsc_probe", "calibration"):
             raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-        if cfg.ensemble not in _ENSEMBLES:
+        if cfg.ensemble not in ENSEMBLES:
             raise ConfigError(f"unknown ensemble {cfg.ensemble!r}")
         if cfg.replicates < 1:
             raise ConfigError("replicates must be at least 1")
@@ -118,7 +102,6 @@ class ExperimentRecord:
     lambda_used: float
     converged: bool
     seed: int
-    wall_ms: int = 0
     success: bool | None = None
 
 
@@ -150,7 +133,7 @@ def relative_error(b_hat, b_star) -> float:
 
 
 def make_ensemble(cfg: ExperimentConfig) -> EnsembleSpec:
-    cls = _ENSEMBLES[cfg.ensemble]
+    cls = ENSEMBLES[cfg.ensemble]
     if cls is MatrixCompletion and cfg.experiment == "figure1":
         # the simulation protocol observes raw entries: y_i = B*[r_i, c_i] + eps_i
         return MatrixCompletion(cfg.d, cfg.d, plain_entries=True)
@@ -394,7 +377,7 @@ def _fmt(value) -> str:
 
 def write_records_csv(records: list[ExperimentRecord], path: str) -> None:
     with_success = any(rec.success is not None for rec in records)
-    header = "estimator,n,replicate,relative_error,lambda_used,converged,seed,wall_ms"
+    header = "estimator,n,replicate,relative_error,lambda_used,converged,seed"
     if with_success:
         header += ",success"
     lines = [header]
@@ -407,7 +390,6 @@ def write_records_csv(records: list[ExperimentRecord], path: str) -> None:
             _fmt(rec.lambda_used),
             _fmt(rec.converged),
             str(rec.seed),
-            str(rec.wall_ms),
         ]
         if with_success:
             row.append(_fmt(bool(rec.success)))
@@ -431,7 +413,6 @@ def read_records_csv(path: str) -> list[ExperimentRecord]:
                 lambda_used=float(vals["lambda_used"]),
                 converged=vals["converged"] == "true",
                 seed=int(vals["seed"]),
-                wall_ms=int(vals["wall_ms"]),
                 success=(vals["success"] == "true") if "success" in vals else None,
             )
         )

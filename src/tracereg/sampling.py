@@ -15,7 +15,7 @@ A dataset bundles n measurements with responses y_i = <B*, X_i> + eps_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -23,11 +23,6 @@ from .linalg import matrix_norm
 from .rng import stream
 
 __all__ = [
-    "Entry",
-    "RowVector",
-    "Dense",
-    "RankOne",
-    "Measurement",
     "MeasurementSet",
     "EntrySet",
     "RowVectorSet",
@@ -39,87 +34,14 @@ __all__ = [
     "GaussianEnsemble",
     "FactoredMeasurement",
     "EnsembleSpec",
+    "ENSEMBLES",
     "Dataset",
-    "apply_operator",
-    "adjoint_apply",
     "generate_ground_truth",
     "generate_dataset",
     "sample_inner_products",
     "save_dataset",
     "load_dataset",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Single measurements
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Entry:
-    """Scaled single-entry matrix: scale * e_row e_col^T."""
-
-    row: int
-    col: int
-    scale: float
-
-    def densify(self, d_r: int, d_c: int) -> np.ndarray:
-        out = np.zeros((d_r, d_c))
-        out[self.row, self.col] = self.scale
-        return out
-
-    def apply(self, b: np.ndarray) -> float:
-        return float(self.scale * b[self.row, self.col])
-
-
-@dataclass(frozen=True)
-class RowVector:
-    """Single nonzero row: e_row * vec^T."""
-
-    row: int
-    vec: np.ndarray
-
-    def densify(self, d_r: int, d_c: int) -> np.ndarray:
-        out = np.zeros((d_r, d_c))
-        out[self.row, :] = self.vec
-        return out
-
-    def apply(self, b: np.ndarray) -> float:
-        return float(b[self.row, :] @ self.vec)
-
-
-@dataclass(frozen=True)
-class Dense:
-    """Fully dense measurement matrix."""
-
-    mat: np.ndarray
-
-    def densify(self, d_r: int, d_c: int) -> np.ndarray:
-        if self.mat.shape != (d_r, d_c):
-            raise ValueError("dense measurement has wrong shape")
-        return np.array(self.mat)
-
-    def apply(self, b: np.ndarray) -> float:
-        return float(np.sum(self.mat * b))
-
-
-@dataclass(frozen=True)
-class RankOne:
-    """Rank-one pair: u v^T."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def densify(self, d_r: int, d_c: int) -> np.ndarray:
-        if self.u.shape != (d_r,) or self.v.shape != (d_c,):
-            raise ValueError("rank-one factors have wrong length")
-        return np.outer(self.u, self.v)
-
-    def apply(self, b: np.ndarray) -> float:
-        return float(self.u @ b @ self.v)
-
-
-Measurement = Union[Entry, RowVector, Dense, RankOne]
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +53,9 @@ class MeasurementSet:
     """Batch of measurements of one kind with vectorized operator action.
 
     Subclasses implement ``apply`` (the sampling operator), ``adjoint``
-    (weighted sum of measurement matrices), factor-design products used
-    by the alternating solver, densification, subsetting, and item
-    access returning single Measurement objects.
+    (weighted sum of measurement matrices), the factor-design products
+    used by the alternating solver, and subsetting; ``densify`` follows
+    from ``xi_dot``.
     """
 
     d_r: int
@@ -163,12 +85,11 @@ class MeasurementSet:
         raise NotImplementedError
 
     def densify(self) -> np.ndarray:
-        return np.stack([self[i].densify(self.d_r, self.d_c) for i in range(len(self))])
+        """Stack of the dense X_i, shape (n, d_r, d_c); exact, since every
+        entry of X_i @ I is a product with 1.0 or 0.0."""
+        return self.xi_dot(np.eye(self.d_c))
 
     def subset(self, idx: np.ndarray) -> "MeasurementSet":
-        raise NotImplementedError
-
-    def __getitem__(self, i: int) -> Measurement:
         raise NotImplementedError
 
     def _check_b(self, b: np.ndarray) -> np.ndarray:
@@ -221,9 +142,6 @@ class EntrySet(MeasurementSet):
     def subset(self, idx):
         return EntrySet(self.rows[idx], self.cols[idx], self.scales[idx], self.d_r, self.d_c)
 
-    def __getitem__(self, i):
-        return Entry(int(self.rows[i]), int(self.cols[i]), float(self.scales[i]))
-
 
 class RowVectorSet(MeasurementSet):
     def __init__(self, rows, vecs, d_r: int, d_c: int):
@@ -258,9 +176,6 @@ class RowVectorSet(MeasurementSet):
     def subset(self, idx):
         return RowVectorSet(self.rows[idx], self.vecs[idx], self.d_r, self.d_c)
 
-    def __getitem__(self, i):
-        return RowVector(int(self.rows[i]), self.vecs[i].copy())
-
 
 class DenseSet(MeasurementSet):
     def __init__(self, mats):
@@ -288,9 +203,6 @@ class DenseSet(MeasurementSet):
 
     def subset(self, idx):
         return DenseSet(self.mats[idx])
-
-    def __getitem__(self, i):
-        return Dense(self.mats[i].copy())
 
 
 class RankOneSet(MeasurementSet):
@@ -321,8 +233,6 @@ class RankOneSet(MeasurementSet):
     def subset(self, idx):
         return RankOneSet(self.us[idx], self.vs[idx])
 
-    def __getitem__(self, i):
-        return RankOne(self.us[i].copy(), self.vs[i].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +271,6 @@ class _EnsembleBase:
 
     # subclasses: kind tag used by the dataset cache format
     kind: str = field(default="", init=False, repr=False)
-
-    def sample_measurement(self, rng: np.random.Generator) -> Measurement:
-        return self.sample_batch(1, rng)[0]
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> MeasurementSet:
         raise NotImplementedError
@@ -501,12 +408,9 @@ class FactoredMeasurement(_EnsembleBase):
 
 EnsembleSpec = Union[MatrixCompletion, MultiTask, GaussianEnsemble, FactoredMeasurement]
 
-_KIND_TO_CLS = {
-    "matrix_completion": MatrixCompletion,
-    "multi_task": MultiTask,
-    "gaussian_ensemble": GaussianEnsemble,
-    "factored_measurement": FactoredMeasurement,
-}
+# ensemble classes by their ``kind`` tag: the one registry behind the
+# dataset cache, the experiment config and the CLI's --ensemble choices
+ENSEMBLES = {cls.kind: cls for cls in (MatrixCompletion, MultiTask, GaussianEnsemble, FactoredMeasurement)}
 
 
 # ---------------------------------------------------------------------------
@@ -524,43 +428,19 @@ class Dataset:
     noise_sigma: float
     seed: int
 
+    def __post_init__(self):
+        y = np.asarray(self.y)
+        if y.shape != (len(self.measurements),):
+            raise ValueError(f"y has shape {y.shape}, expected ({len(self.measurements)},)")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y holds non-finite values")
+
     @property
     def n(self) -> int:
         return len(self.measurements)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.spec, self.measurements.subset(idx), self.y[idx], self.noise_sigma, self.seed)
-
-
-def apply_operator(ms, b) -> np.ndarray:
-    """Apply the sampling operator: component i is <b, X_i>.
-
-    Accepts a MeasurementSet (vectorized) or any sequence of single
-    Measurement objects, possibly of mixed kinds.
-    """
-    b = np.asarray(b, dtype=float)
-    if isinstance(ms, MeasurementSet):
-        return ms.apply(b)
-    return np.array([m.apply(b) for m in ms])
-
-
-def adjoint_apply(ms, w, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Weighted sum of measurement matrices, sum_i w_i X_i.
-
-    ``shape`` is required when ``ms`` is a plain sequence whose items do
-    not determine the ambient dimensions.
-    """
-    if isinstance(ms, MeasurementSet):
-        return ms.adjoint(np.asarray(w, dtype=float))
-    w = np.asarray(w, dtype=float)
-    if len(w) != len(ms):
-        raise ValueError("weight length does not match number of measurements")
-    if shape is None:
-        raise ValueError("shape is required for a plain measurement sequence")
-    out = np.zeros(shape)
-    for wi, m in zip(w, ms):
-        out += wi * m.densify(*shape)
-    return out
 
 
 def generate_ground_truth(d_r: int, d_c: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -648,8 +528,10 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     with np.load(path) as z:
         kind = str(z["kind"])
+        if kind not in ENSEMBLES:
+            raise ValueError(f"{path}: unknown ensemble kind {kind!r}")
         d_r, d_c = (int(v) for v in z["dims"])
-        cls = _KIND_TO_CLS[kind]
+        cls = ENSEMBLES[kind]
         if cls is MatrixCompletion:
             spec: EnsembleSpec = MatrixCompletion(
                 d_r, d_c, xi_mode=str(z["xi_mode"]), plain_entries=bool(z["plain_entries"])

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import matrix_norm, operator_norm, soft_threshold, svd
-from .sampling import Dataset, EnsembleSpec, MeasurementSet
+from .sampling import Dataset, MeasurementSet
 
 __all__ = [
     "SolverConfig",
@@ -45,8 +45,7 @@ class SolverConfig:
 
     step=None estimates the gradient Lipschitz constant by power
     iteration and uses its reciprocal; backtracking halves the step
-    whenever a restarted proximal step fails to descend.  rank_cap is
-    only meaningful for the factored solver.
+    whenever a restarted proximal step fails to descend.
     """
 
     max_iters: int = 5000
@@ -54,7 +53,6 @@ class SolverConfig:
     step: float | None = None
     backtracking: bool = True
     bt_shrink: float = 0.5
-    rank_cap: int | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -258,8 +256,6 @@ def solve_factored(
     d_r, d_c = ds.measurements.shape
     if not 1 <= r <= min(d_r, d_c):
         raise ValueError("rank out of range")
-    if cfg.rank_cap is not None:
-        r = min(r, cfg.rank_cap)
     # spectral initialization from the adjoint of the responses
     f = svd(ds.measurements.adjoint(ds.y) / ds.n)
     root = np.sqrt(f.singulars[:r])
@@ -348,13 +344,7 @@ class GoodnessCheck(NamedTuple):
     spikiness_ok: bool
 
 
-def check_goodness(
-    est: Estimate,
-    b_star,
-    ds: Dataset,
-    b_star_bound: float,
-    spec: EnsembleSpec | None = None,
-) -> GoodnessCheck:
+def check_goodness(est: Estimate, b_star, ds: Dataset, b_star_bound: float) -> GoodnessCheck:
     """Certify an estimate after the fact.
 
     loss_ok: penalized loss at the estimate does not exceed the loss at
@@ -362,10 +352,9 @@ def check_goodness(
     estimate's spikiness norm stays within the stated bound for the
     target.
     """
-    spec = ds.spec if spec is None else spec
     b_star = np.asarray(b_star, dtype=float)
     obj_star = objective(ds, est.lam, b_star)
     obj_hat = objective(ds, est.lam, est.b_hat)
     loss_ok = obj_hat <= obj_star + 1e-9 * (1.0 + abs(obj_star))
-    spikiness_ok = spec.spikiness_norm(est.b_hat) <= b_star_bound * (1.0 + 1e-6)
+    spikiness_ok = ds.spec.spikiness_norm(est.b_hat) <= b_star_bound * (1.0 + 1e-6)
     return GoodnessCheck(loss_ok=bool(loss_ok), spikiness_ok=bool(spikiness_ok))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import matrix_norm, operator_norm
-from .sampling import Dataset, EnsembleSpec, sample_inner_products
+from .sampling import Dataset, EnsembleSpec, GaussianEnsemble, sample_inner_products
 
 __all__ = [
     "CalibrationReport",
@@ -388,8 +388,6 @@ def _sketch_dimension_factor(spec: EnsembleSpec) -> float:
     f = d for dense Gaussian measurements (whose operator norm carries no
     log factor), f = d log d for the structured ensembles."""
     d = max(spec.d_r, spec.d_c)
-    from .sampling import GaussianEnsemble  # local import to avoid cycle at module load
-
     if isinstance(spec, GaussianEnsemble):
         return float(d)
     return d * math.log(d)

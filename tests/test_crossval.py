@@ -7,7 +7,6 @@ from tracereg import (
     GaussianEnsemble,
     MatrixCompletion,
     SolverConfig,
-    cv_error,
     cv_select,
     default_solver,
     generate_dataset,
@@ -25,6 +24,12 @@ from tracereg.solvers import Estimate, objective
 def entry_dataset(y_value: float) -> Dataset:
     ms = EntrySet([0], [0], [1.0], 2, 2)
     return Dataset(MatrixCompletion(2, 2, plain_entries=True), ms, np.array([y_value]), 0.0, seed=0)
+
+
+def cold_cv_error(ds: Dataset, plan: FoldPlan, lam: float, solver) -> float:
+    """Out-of-fold error at one lam from cold fold fits: cv_select on a
+    one-value grid."""
+    return float(cv_select(ds, plan, [lam], solver).e_hat[0])
 
 
 class TestMakeFolds:
@@ -77,6 +82,8 @@ class TestLambdaGrid:
 
 
 class TestCvError:
+    """The single-lam out-of-fold error, computed by cv_select."""
+
     def test_zero_truth_zero_noise(self):
         # all responses zero except one tiny observation to keep the grid
         # nonempty is unnecessary here: score the zero solution directly
@@ -87,7 +94,7 @@ class TestCvError:
             b_hat=np.zeros((2, 2)), lam=lam, objective=objective(sub, lam, np.zeros((2, 2))),
             iters=0, converged=True, method="convex",
         )
-        assert cv_error(ds, plan, 1.0, solver) == 0.0
+        assert cold_cv_error(ds, plan, 1.0, solver) == 0.0
 
     def test_matches_hand_rolled_two_fold_oracle(self):
         d, n = 3, 12
@@ -96,7 +103,7 @@ class TestCvError:
         plan = make_folds(n, 2, stream(8))
         lam = 0.3 * lambda_max(ds)
         solver = default_solver()
-        val = cv_error(ds, plan, lam, solver)
+        val = cold_cv_error(ds, plan, lam, solver)
         total = 0.0
         for fold in range(2):
             train = ds.subset(plan.complement(fold))
@@ -115,8 +122,8 @@ class TestCvError:
         permuted = FoldPlan(k=4, assignments=relabel[plan.assignments])
         lam = 0.4 * lambda_max(ds)
         solver = default_solver()
-        a = cv_error(ds, plan, lam, solver)
-        b = cv_error(ds, permuted, lam, solver)
+        a = cold_cv_error(ds, plan, lam, solver)
+        b = cold_cv_error(ds, permuted, lam, solver)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -180,7 +187,7 @@ class TestCvSelect:
         solver = default_solver(SolverConfig(rel_obj_tol=1e-10))
         res = cv_select(ds, plan, grid, solver)
         for j, lam in enumerate(grid):
-            cold = cv_error(ds, plan, lam, solver)
+            cold = cold_cv_error(ds, plan, lam, solver)
             assert res.e_hat[j] == pytest.approx(cold, rel=1e-4, abs=1e-8)
 
     def test_rejects_bad_grids(self):
@@ -190,6 +197,15 @@ class TestCvSelect:
             cv_select(ds, plan, [], default_solver())
         with pytest.raises(ValueError):
             cv_select(ds, plan, [1.0, 2.0], default_solver())
+
+    def test_rejects_plan_not_covering_dataset(self):
+        _, ds = self.make_instance(n=20, seed=29)
+        short = make_folds(19, 2, stream(30))
+        with pytest.raises(ValueError, match="does not cover"):
+            cv_select(ds, short, [1.0], default_solver())
+        stray = FoldPlan(k=2, assignments=np.r_[short.assignments, 2])
+        with pytest.raises(ValueError, match="does not cover"):
+            cv_select(ds, stray, [1.0], default_solver())
 
     def test_cv_error_close_to_oracle_error(self):
         d, r, n = 20, 2, 1200

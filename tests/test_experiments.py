@@ -21,6 +21,7 @@ from tracereg.experiments import (
     run_rsc_probe,
     summarize,
 )
+from tracereg.sampling import ENSEMBLES
 from tracereg.solvers import lambda_max
 
 
@@ -231,6 +232,11 @@ class TestEmitOutputs:
         records, _, paths, _ = outputs
         assert read_records_csv(paths["records"]) == records
 
+    def test_records_header(self, outputs):
+        _, _, paths, _ = outputs
+        with open(paths["records"], encoding="utf-8") as fh:
+            assert fh.readline() == "estimator,n,replicate,relative_error,lambda_used,converged,seed\n"
+
     def test_summary_row_count(self, outputs):
         _, summary, paths, cfg = outputs
         assert len(summary) == len(cfg.estimators) * len(cfg.n_grid)
@@ -300,6 +306,21 @@ class TestCli:
             echo = dict(line.split("=", 1) for line in fh.read().splitlines())
         assert echo["estimators"] == "theory1"  # CLI beats file default
         assert echo["seed"] == "9"  # file beats built-in default
+
+    def test_reps_is_an_alias_of_calib_reps(self):
+        parser = cli.build_parser()
+        for flag in ("--reps", "--calib-reps"):
+            cfg = cli.resolve_config(parser.parse_args(["calibration", flag, "30"]))
+            assert cfg.calib_reps == 30
+
+    def test_ensemble_choices_are_the_registry(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["figure1", "--ensemble", "bogus"])
+        err = capsys.readouterr().err
+        assert all(kind in err for kind in ENSEMBLES)
+        for kind in ENSEMBLES:
+            cfg = cli.resolve_config(cli.build_parser().parse_args(["figure1", "--ensemble", kind]))
+            assert isinstance(experiments.make_ensemble(cfg), ENSEMBLES[kind])
 
     def test_config_error_exit_code(self, tmp_path):
         code = main(["exact-recovery", "--sigma", "1.0", "--d", "8", "--n", "64", "--out-dir", str(tmp_path)])

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracereg import (
+    ENSEMBLES,
     Dataset,
-    Dense,
-    Entry,
     EntrySet,
     FactoredMeasurement,
     GaussianEnsemble,
     MatrixCompletion,
     MultiTask,
-    RankOne,
-    RowVector,
-    adjoint_apply,
-    apply_operator,
+    RankOneSet,
     generate_dataset,
     generate_ground_truth,
     load_dataset,
@@ -63,28 +61,18 @@ class TestSampleMeasurement:
             if hasattr(ms, "cols"):
                 assert ms.cols.min() >= 0 and ms.cols.max() < 3
 
-    def test_single_measurement_types(self):
-        kinds = {
-            MatrixCompletion(4, 4): Entry,
-            MultiTask(4, 4): RowVector,
-            GaussianEnsemble(4, 4): Dense,
-            FactoredMeasurement(4, 4): RankOne,
-        }
-        for spec, cls in kinds.items():
-            assert isinstance(spec.sample_measurement(stream(4)), cls)
-
 
 class TestOperator:
     def test_entry_selection(self):
         ms = EntrySet([1], [2], [4.0], 3, 4)
         b = np.zeros((3, 4))
         b[1, 2] = 0.5
-        assert apply_operator(ms, b) == pytest.approx([2.0])
+        assert ms.apply(b) == pytest.approx([2.0])
 
     def test_rank_one_on_identity(self):
         rng = stream(5)
         u, v = rng.standard_normal(4), rng.standard_normal(4)
-        val = apply_operator([RankOne(u, v)], np.eye(4))
+        val = RankOneSet([u], [v]).apply(np.eye(4))
         assert val[0] == pytest.approx(float(u @ v), abs=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{getattr(s, 'xi_mode', '')}")
@@ -95,19 +83,6 @@ class TestOperator:
         oracle = np.array([trace_inner(dense[i], b) for i in range(len(ms))])
         assert np.max(np.abs(ms.apply(b) - oracle)) < 1e-11
 
-    def test_mixed_batch_matches_densify_oracle(self):
-        rng = stream(8)
-        d = 5
-        batch = [
-            Entry(1, 3, 2.5),
-            RowVector(2, rng.standard_normal(d)),
-            Dense(rng.standard_normal((d, d))),
-            RankOne(rng.standard_normal(d), rng.standard_normal(d)),
-        ]
-        b = rng.standard_normal((d, d))
-        oracle = np.array([trace_inner(m.densify(d, d), b) for m in batch])
-        assert np.max(np.abs(apply_operator(batch, b) - oracle)) < 1e-11
-
     def test_dimension_mismatch(self):
         ms = GaussianEnsemble(3, 3).sample_batch(5, stream(9))
         with pytest.raises(ValueError):
@@ -117,10 +92,10 @@ class TestOperator:
 class TestAdjoint:
     def test_zero_weights(self):
         ms = GaussianEnsemble(3, 3).sample_batch(10, stream(10))
-        assert np.all(adjoint_apply(ms, np.zeros(10)) == 0.0)
+        assert np.all(ms.adjoint(np.zeros(10)) == 0.0)
 
     def test_single_entry(self):
-        out = adjoint_apply([Entry(0, 0, 2.0)], np.array([3.0]), shape=(2, 2))
+        out = EntrySet([0], [0], [2.0], 2, 2).adjoint(np.array([3.0]))
         assert out == pytest.approx(np.array([[6.0, 0.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{getattr(s, 'xi_mode', '')}")
@@ -129,14 +104,55 @@ class TestAdjoint:
         rng = stream(12)
         w = rng.standard_normal(40)
         b = rng.standard_normal(spec.shape)
-        lhs = trace_inner(adjoint_apply(ms, w), b)
-        rhs = float(w @ apply_operator(ms, b))
+        lhs = trace_inner(ms.adjoint(w), b)
+        rhs = float(w @ ms.apply(b))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
     def test_length_mismatch(self):
         ms = MultiTask(3, 3).sample_batch(5, stream(13))
         with pytest.raises(ValueError):
-            adjoint_apply(ms, np.zeros(4))
+            ms.adjoint(np.zeros(4))
+
+
+# Operator identities for all four measurement-set types over random
+# non-square shapes (d_r != d_c, either side possibly 1) and batch sizes.
+@st.composite
+def _measurement_sets(draw):
+    short, extra = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    d_r, d_c = draw(st.permutations([short, short + extra]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ms = ENSEMBLES[draw(st.sampled_from(sorted(ENSEMBLES)))](d_r, d_c).sample_batch(draw(st.integers(1, 12)), rng)
+    return ms, rng.standard_normal((d_r, d_c)), rng.standard_normal(len(ms))
+
+
+_OPERATOR_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class TestOperatorProperties:
+    @_OPERATOR_SETTINGS
+    @given(case=_measurement_sets())
+    def test_apply_matches_densify(self, case):
+        ms, b, _ = case
+        dense = ms.densify()
+        assert dense.shape == (len(ms), ms.d_r, ms.d_c)
+        scale = np.einsum("nij,ij->n", np.abs(dense), np.abs(b))
+        assert np.all(np.abs(ms.apply(b) - np.einsum("nij,ij->n", dense, b)) <= 1e-10 * scale)
+
+    @_OPERATOR_SETTINGS
+    @given(case=_measurement_sets())
+    def test_adjoint_identity(self, case):
+        ms, b, w = case
+        lhs = float(ms.apply(b) @ w)
+        rhs = trace_inner(b, ms.adjoint(w))
+        scale = float(np.abs(w) @ np.einsum("nij,ij->n", np.abs(ms.densify()), np.abs(b)))
+        assert abs(lhs - rhs) <= 1e-10 * scale
+
+    @_OPERATOR_SETTINGS
+    @given(case=_measurement_sets())
+    def test_xi_t_dot_is_transposed_densify(self, case):
+        ms, _, _ = case
+        want = ms.densify().transpose(0, 2, 1)
+        assert np.allclose(ms.xi_t_dot(np.eye(ms.d_r)), want, rtol=1e-10, atol=0.0)
 
 
 class TestGroundTruth:
@@ -319,6 +335,17 @@ class TestSerialization:
         assert np.array_equal(back.y, ds.y)
         assert np.array_equal(back.measurements.densify(), ds.measurements.densify())
 
+    def test_unknown_kind_rejected(self, tmp_path):
+        ds = generate_dataset(MultiTask(3, 3), np.eye(3), 5, 0.1, seed=38)
+        path = tmp_path / "ds.npz"
+        save_dataset(ds, path)
+        with np.load(path) as z:
+            payload = dict(z)
+        payload["kind"] = np.array("bogus")
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="'bogus'"):
+            load_dataset(path)
+
     def test_subset_preserves_content(self):
         spec = MultiTask(5, 5)
         ds = generate_dataset(spec, np.eye(5), 20, 0.1, seed=36)
@@ -328,3 +355,19 @@ class TestSerialization:
         assert np.array_equal(sub.y, ds.y[idx])
         b = stream(37).standard_normal((5, 5))
         assert np.allclose(sub.measurements.apply(b), ds.measurements.apply(b)[idx])
+
+
+class TestDatasetValidation:
+    def make(self, y):
+        ms = EntrySet([0, 1, 2], [0, 1, 2], np.ones(3), 3, 3)
+        return Dataset(MatrixCompletion(3, 3, plain_entries=True), ms, np.asarray(y, dtype=float), 0.0, seed=0)
+
+    @pytest.mark.parametrize("y", [[1.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
+    def test_rejects_wrong_length(self, y):
+        with pytest.raises(ValueError, match="shape"):
+            self.make(y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            self.make([1.0, bad, 3.0])
