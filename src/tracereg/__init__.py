@@ -46,6 +46,7 @@ from .solvers import (
     lambda_max,
     objective,
     solve_convex,
+    solve_convex_batch,
     solve_factored,
     solve_noiseless,
 )

@@ -4,6 +4,11 @@ Folds partition the observations; for each candidate lam the estimator
 is fit on each fold's complement and scored on the held-out fold.  The
 selected estimator averages the K complement fits at the winning lam,
 weighted by fold size.
+
+The solver hook fits all K folds of one lam in one call.  The default
+hook runs them in lockstep (``solvers.solve_convex_batch``): each round
+takes the K prox steps from one stacked eigendecomposition, and every
+fold's fit is bit-identical to a lone ``solve_convex`` on it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import Dataset
-from .solvers import Estimate, SolverConfig, lambda_max, solve_convex
+from .solvers import Estimate, SolverConfig, lambda_max, solve_convex_batch
 
 __all__ = [
     "FoldPlan",
@@ -54,23 +59,18 @@ def make_folds(n: int, k: int, rng: np.random.Generator) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments)
 
 
-def lambda_grid(ds: Dataset, lambda_min: float) -> list[float]:
+def lambda_grid(ds: Dataset, lambda_min: float, top: float | None = None) -> list[float]:
     """Halving grid from the zero-solution threshold down to lambda_min.
 
-    Starts at lambda_max(ds) and halves until a value at or below
+    Starts at ``top`` (lambda_max(ds) when None; callers that already hold
+    lambda_max(ds) pass it) and halves until a value at or below
     lambda_min is reached (that value is included).
     """
-    return _halving_grid(lambda_max(ds), lambda_min)
-
-
-def _halving_grid(top: float, lambda_min: float) -> list[float]:
-    """Halving grid from ``top`` down to the first value at or below
-    lambda_min; callers that already hold lambda_max(ds) pass it here."""
     if lambda_min <= 0:
         raise ValueError("lambda_min must be positive")
-    if top == 0.0:
+    grid = [lambda_max(ds) if top is None else top]
+    if grid[0] == 0.0:
         raise ValueError("all responses are zero; the grid is empty")
-    grid = [top]
     while grid[-1] > lambda_min:
         grid.append(grid[-1] / 2.0)
     return grid
@@ -78,10 +78,12 @@ def _halving_grid(top: float, lambda_min: float) -> list[float]:
 
 def default_solver(cfg: SolverConfig = SolverConfig()):
     """Convex-route solver hook for cross-validation: a callable
-    (dataset, lam, x0) -> Estimate."""
+    (datasets, lam, x0s) -> list[Estimate] that solves the K fold problems
+    of one lam in lockstep with :func:`~tracereg.solvers.solve_convex_batch`;
+    each fold's Estimate is bit-identical to solve_convex's."""
 
-    def run(ds: Dataset, lam: float, x0=None) -> Estimate:
-        return solve_convex(ds, lam, cfg, x0=x0)
+    def run(datasets, lam: float, x0s) -> list[Estimate]:
+        return solve_convex_batch(datasets, lam, cfg, x0s)
 
     return run
 
@@ -103,8 +105,10 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, solver) -> CvResult:
     """Compute out-of-fold errors over a decreasing lam grid and return
     the fold-size-weighted average estimator at the best lam.
 
-    Fold fits are warm-started along the grid, so the first lam's fits
-    are cold.  ``e_hat[j]`` is the per-sample out-of-fold prediction error
+    ``solver(train_sets, lam, x0s)`` returns one Estimate per fold, fit on
+    that fold's complement from the warm start x0s[fold].  Fold fits are
+    warm-started along the grid, so the first lam's fits are cold (x0s is
+    all None).  ``e_hat[j]`` is the per-sample out-of-fold prediction error
     (1/n) sum_k ||y_k - X_k(B_{-k})||^2 at grid[j], stored per sample so it
     compares directly with per-observation noise levels.  Ties at the
     minimum go to the largest lam (strongest regularization).
@@ -124,14 +128,14 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, solver) -> CvResult:
     estimates: list[list[Estimate]] = []
     e_hat = np.empty(len(grid))
     for j, lam in enumerate(grid):
-        row = []
+        row = list(solver(trains, lam, warm))
+        if len(row) != plan.k:
+            raise ValueError(f"solver returned {len(row)} estimates for {plan.k} folds")
+        warm = [est.b_hat for est in row]
         total = 0.0
-        for fold in range(plan.k):
-            est = solver(trains[fold], lam, warm[fold])
-            warm[fold] = est.b_hat
-            resid = holds[fold].y - holds[fold].measurements.apply(est.b_hat)
+        for hold, est in zip(holds, row):
+            resid = hold.y - hold.measurements.apply(est.b_hat)
             total += float(resid @ resid)
-            row.append(est)
         estimates.append(row)
         e_hat[j] = total / n
     best = 0

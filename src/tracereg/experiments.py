@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .crossval import _halving_grid, cv_select, default_solver, make_folds
+from .crossval import cv_select, default_solver, lambda_grid, make_folds
 from .rng import stream
 from .sampling import ENSEMBLES, Dataset, EnsembleSpec, MatrixCompletion, generate_dataset, generate_ground_truth
 from .solvers import SolverConfig, lambda_max, solve_convex, solve_noiseless
@@ -243,10 +243,10 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                     err, lam_used, conv = relative_error(est.b_hat, b_star), lam0, est.converged
                 elif name == "oracle":
                     lam_floor = max(3.0 * base_quantile / 2.0, 1e-12)
-                    err, lam_used, conv = _oracle_path(ds, b_star, _halving_grid(top, lam_floor))
+                    err, lam_used, conv = _oracle_path(ds, b_star, lambda_grid(ds, lam_floor, top=top))
                 elif name == "cv":
                     plan = make_folds(n, cfg.k_folds, stream(child_seed(cfg.seed, "folds", n, rep)))
-                    result = cv_select(ds, plan, _halving_grid(top, 0.01 * top), default_solver(_FIG1_SOLVER))
+                    result = cv_select(ds, plan, lambda_grid(ds, 0.01 * top, top=top), default_solver(_FIG1_SOLVER))
                     err, lam_used, conv = relative_error(result.b_cv, b_star), result.lambda_cv, result.converged
                 else:  # pragma: no cover - validate() rejects unknown names
                     raise ConfigError(f"unknown estimator {name!r}")

@@ -105,6 +105,13 @@ class MeasurementSet:
         return w
 
 
+def _check_indices(name: str, idx: np.ndarray, bound: int) -> None:
+    """Reject indices outside [0, bound) in one pass: read as unsigned, a
+    negative int64 exceeds every bound."""
+    if idx.size and idx.view(np.uint64).max() >= bound:
+        raise ValueError(f"{name} must lie in [0, {bound})")
+
+
 class EntrySet(MeasurementSet):
     def __init__(self, rows, cols, scales, d_r: int, d_c: int):
         self.rows = np.asarray(rows, dtype=np.int64)
@@ -113,6 +120,8 @@ class EntrySet(MeasurementSet):
         self.d_r, self.d_c = int(d_r), int(d_c)
         if not (len(self.rows) == len(self.cols) == len(self.scales)):
             raise ValueError("rows, cols, scales must have equal length")
+        _check_indices("rows", self.rows, self.d_r)
+        _check_indices("cols", self.cols, self.d_c)
 
     def __len__(self):
         return len(self.rows)
@@ -150,6 +159,7 @@ class RowVectorSet(MeasurementSet):
         self.d_r, self.d_c = int(d_r), int(d_c)
         if self.vecs.shape != (len(self.rows), self.d_c):
             raise ValueError("vecs must have shape (n, d_c)")
+        _check_indices("rows", self.rows, self.d_r)
 
     def __len__(self):
         return len(self.rows)

@@ -9,6 +9,14 @@ Estimate carrying its certificate data, and ``check_goodness`` verifies
 a posteriori that an estimate's loss does not exceed the loss at the
 target matrix.
 
+The convex solve is written once, as a generator that yields its prox
+inputs; ``solve_convex`` drives one of them through ``soft_threshold``,
+and ``solve_convex_batch`` drives several same-shape problems in
+lockstep, taking each round's prox steps from one stacked ``eigh``
+(``linalg._soft_threshold_stack``, bit-identical to soft_threshold).
+Cross-validation solves its K folds that way, and each fold's Estimate
+equals the one a lone solve_convex returns.
+
 The Lipschitz estimate is memoized per MeasurementSet object, so
 measurement sets must not be mutated in place once a solver has seen
 them; build a new set (for example with ``subset``) instead.
@@ -22,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import matrix_norm, operator_norm, soft_threshold, svd
+from .linalg import _soft_threshold_stack, matrix_norm, operator_norm, soft_threshold, svd
 from .sampling import Dataset, MeasurementSet
 
 __all__ = [
@@ -33,6 +41,7 @@ __all__ = [
     "lambda_max",
     "lipschitz_estimate",
     "solve_convex",
+    "solve_convex_batch",
     "solve_factored",
     "solve_noiseless",
     "check_goodness",
@@ -73,6 +82,12 @@ class Estimate:
     (recomputable from the dataset and ``lam``); ``history`` records the
     per-iteration (or per-sweep) internal objective values; ``residual``
     is the relative data-fit residual reported by the noiseless solver.
+    ``stop_reason`` says why an iterative solve stopped: "rel_dec" (the
+    relative objective decrease fell below the tolerance), "stalled" (no
+    step size gave descent; convex route only) or "max_iters".
+    ``converged`` is True exactly when it is not "max_iters".  The
+    noiseless solver, which judges convergence by its residual, leaves
+    it None.
     """
 
     b_hat: np.ndarray
@@ -84,6 +99,7 @@ class Estimate:
     residual: float | None = None
     history: tuple = field(default=(), repr=False)
     factors: tuple | None = field(default=None, repr=False)
+    stop_reason: str | None = None
 
 
 def objective(ds: Dataset, lam: float, b) -> float:
@@ -134,23 +150,78 @@ def _power_iteration(ms: MeasurementSet, iters: int) -> float:
     return float(lam)
 
 
-def _prox_grad_step(
-    ds: Dataset, lam: float, b: np.ndarray, xb: np.ndarray, step: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Proximal-gradient step from b, given xb = X(b).  Returns the new
-    point z, X(z) and the penalized loss at z, at the cost of one adjoint,
-    one apply and one SVD."""
-    ms = ds.measurements
-    grad = ms.adjoint(xb - ds.y) * (2.0 / ds.n)
-    shrunk = np.empty(min(ms.shape))
-    z = soft_threshold(b - step * grad, lam * step, singulars=shrunk)
-    xz = ms.apply(z)
+def _prox_input(ds: Dataset, lam: float, b: np.ndarray, xb: np.ndarray, step: float) -> tuple[np.ndarray, float]:
+    """Prox input (b - step * grad, lam * step) of the proximal-gradient
+    step from b, given xb = X(b); costs one adjoint."""
+    grad = ds.measurements.adjoint(xb - ds.y) * (2.0 / ds.n)
+    return b - step * grad, lam * step
+
+
+def _landed(ds: Dataset, lam: float, z: np.ndarray, shrunk: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(z, X(z), penalized loss at z) for a prox output z and its shrunk
+    singular values; costs one apply."""
+    xz = ds.measurements.apply(z)
     return z, xz, _penalized_loss(ds, lam, xz, float(np.sum(shrunk)))
 
 
 def _penalized_loss(ds: Dataset, lam: float, xb: np.ndarray, nuclear: float) -> float:
     resid = ds.y - xb
     return float(resid @ resid / ds.n + lam * nuclear)
+
+
+def _apg(ds: Dataset, lam: float, cfg: SolverConfig, x0: np.ndarray | None):
+    """The accelerated proximal-gradient solve of one problem, as a
+    generator: it yields each prox input (m, tau), is sent back the prox
+    output with its shrunk singular values, and returns the Estimate; see
+    :func:`solve_convex`."""
+    ms = ds.measurements
+    step = cfg.step if cfg.step is not None else 1.0 / lipschitz_estimate(ds)
+    if x0 is None:
+        x = np.zeros(ms.shape)
+        nuclear = 0.0
+    else:
+        x = np.asarray(x0, dtype=float).copy()
+        nuclear = matrix_norm(x, "nuclear")
+    xx = ms.apply(x)
+    y, xy = x, xx
+    t = 1.0
+    fx = _penalized_loss(ds, lam, xx, nuclear)
+    history = [fx]
+    stop_reason = "max_iters"
+    iters = 0
+    for iters in range(1, cfg.max_iters + 1):
+        z, xz, fz = _landed(ds, lam, *(yield _prox_input(ds, lam, y, xy, step)))
+        if fz > fx:
+            # momentum overshot: restart from the best iterate
+            t = 1.0
+            z, xz, fz = _landed(ds, lam, *(yield _prox_input(ds, lam, x, xx, step)))
+            while cfg.backtracking and fz > fx and step > 1e-18:
+                step *= cfg.bt_shrink
+                z, xz, fz = _landed(ds, lam, *(yield _prox_input(ds, lam, x, xx, step)))
+            if fz > fx:
+                # no descent direction left at working precision
+                stop_reason = "stalled"
+                break
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = z + beta * (z - x)
+        xy = xz + beta * (xz - xx)
+        rel_dec = (fx - fz) / max(abs(fx), 1e-300)
+        x, xx, fx, t = z, xz, fz, t_next
+        history.append(fx)
+        if 0.0 <= rel_dec < cfg.rel_obj_tol:
+            stop_reason = "rel_dec"
+            break
+    return Estimate(
+        b_hat=x,
+        lam=float(lam),
+        objective=fx,
+        iters=iters,
+        converged=stop_reason != "max_iters",
+        method="convex",
+        history=tuple(history),
+        stop_reason=stop_reason,
+    )
 
 
 def solve_convex(
@@ -165,64 +236,70 @@ def solve_convex(
     accelerated step overshoots, momentum is reset and a plain proximal
     step is taken from the current iterate, which is a descent step for
     any step size at most 1/L.  Stops when the relative objective
-    decrease falls below cfg.rel_obj_tol; hitting max_iters first yields
-    converged=False rather than an exception.
+    decrease falls below cfg.rel_obj_tol (stop_reason "rel_dec") or when
+    no step size gives descent ("stalled"); hitting max_iters first
+    ("max_iters") yields converged=False rather than an exception.
 
-    Each proximal step costs one SVD, one adjoint and one apply: X(x) and
-    X(z) travel with the iterates, X(y) of the extrapolated point follows
-    by linearity, and the penalty at z is the sum of the shrunk singular
-    values.  With cfg.step=None the step is 1/L from
-    :func:`lipschitz_estimate`, which is memoized per measurement set.
+    Each proximal step costs one SVD (:func:`~tracereg.linalg.soft_threshold`),
+    one adjoint and one apply: X(x) and X(z) travel with the iterates, X(y)
+    of the extrapolated point follows by linearity, and the penalty at z
+    is the sum of the shrunk singular values.  With cfg.step=None the
+    step is 1/L from :func:`lipschitz_estimate`, which is memoized per
+    measurement set.  It runs the same iteration as
+    :func:`solve_convex_batch` (one ``_apg`` generator), with the prox
+    taken through soft_threshold.
     """
     if lam <= 0:
         raise ValueError("lam must be positive for the convex solver")
-    ms = ds.measurements
-    step = cfg.step if cfg.step is not None else 1.0 / lipschitz_estimate(ds)
-    if x0 is None:
-        x = np.zeros(ms.shape)
-        nuclear = 0.0
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        nuclear = matrix_norm(x, "nuclear")
-    xx = ms.apply(x)
-    y, xy = x, xx
-    t = 1.0
-    fx = _penalized_loss(ds, lam, xx, nuclear)
-    history = [fx]
-    converged = False
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        z, xz, fz = _prox_grad_step(ds, lam, y, xy, step)
-        if fz > fx:
-            # momentum overshot: restart from the best iterate
-            t = 1.0
-            z, xz, fz = _prox_grad_step(ds, lam, x, xx, step)
-            while cfg.backtracking and fz > fx and step > 1e-18:
-                step *= cfg.bt_shrink
-                z, xz, fz = _prox_grad_step(ds, lam, x, xx, step)
-            if fz > fx:
-                # no descent direction left at working precision
-                converged = True
-                break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        y = z + beta * (z - x)
-        xy = xz + beta * (xz - xx)
-        rel_dec = (fx - fz) / max(abs(fx), 1e-300)
-        x, xx, fx, t = z, xz, fz, t_next
-        history.append(fx)
-        if 0.0 <= rel_dec < cfg.rel_obj_tol:
-            converged = True
-            break
-    return Estimate(
-        b_hat=x,
-        lam=float(lam),
-        objective=fx,
-        iters=iters,
-        converged=converged,
-        method="convex",
-        history=tuple(history),
-    )
+    solve = _apg(ds, lam, cfg, x0)
+    try:
+        m, tau = next(solve)
+        while True:
+            shrunk = np.empty(min(m.shape))
+            m, tau = solve.send((soft_threshold(m, tau, singulars=shrunk), shrunk))
+    except StopIteration as done:
+        return done.value
+
+
+def solve_convex_batch(
+    datasets,
+    lam: float,
+    cfg: SolverConfig = SolverConfig(),
+    x0s=None,
+) -> list[Estimate]:
+    """:func:`solve_convex` on several problems of one measurement shape at
+    one lam, run in lockstep; ``x0s`` holds one warm start (or None) per
+    dataset.
+
+    Each problem keeps its own step, momentum, restart, backtracking and
+    stop state, and leaves the batch when it stops.  Every round takes one
+    prox for each problem still running from one stacked ``eigh`` of their
+    Gram matrices (``linalg._soft_threshold_stack``), which matches
+    soft_threshold bit for bit, so each returned Estimate equals the one
+    ``solve_convex(datasets[i], lam, cfg, x0s[i])`` returns.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive for the convex solver")
+    datasets = list(datasets)
+    x0s = [None] * len(datasets) if x0s is None else list(x0s)
+    if len(x0s) != len(datasets):
+        raise ValueError("need one warm start (or None) per dataset")
+    if len({ds.measurements.shape for ds in datasets}) > 1:
+        raise ValueError("batched problems must share one matrix shape")
+    solves = [_apg(ds, lam, cfg, x0) for ds, x0 in zip(datasets, x0s)]
+    results: list = [None] * len(solves)
+    pending = {i: next(solve) for i, solve in enumerate(solves)}
+    while pending:
+        active = list(pending)
+        shrunk = np.empty((len(active), min(datasets[0].measurements.shape)))
+        outs = _soft_threshold_stack([pending[i][0] for i in active], [pending[i][1] for i in active], singulars=shrunk)
+        for i, z, row in zip(active, outs, shrunk):
+            try:
+                pending[i] = solves[i].send((z, row))
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results
 
 
 def _factored_objective(ds: Dataset, lam: float, u: np.ndarray, v: np.ndarray) -> float:
@@ -263,7 +340,7 @@ def solve_factored(
     v = f.right[:, :r] * root
     fx = _factored_objective(ds, lam, u, v)
     history = [fx]
-    converged = False
+    stop_reason = "max_iters"
     sweeps = 0
     for sweeps in range(1, cfg.max_iters + 1):
         design_u = ds.measurements.xi_dot(v).reshape(ds.n, d_r * r)
@@ -277,7 +354,7 @@ def solve_factored(
         fx = f_new
         history.append(fx)
         if 0.0 <= rel_dec < cfg.rel_obj_tol:
-            converged = True
+            stop_reason = "rel_dec"
             break
     b_hat = u @ v.T
     return Estimate(
@@ -285,10 +362,11 @@ def solve_factored(
         lam=float(lam),
         objective=objective(ds, lam, b_hat),
         iters=sweeps,
-        converged=converged,
+        converged=stop_reason != "max_iters",
         method="factored",
         history=tuple(history),
         factors=(u, v),
+        stop_reason=stop_reason,
     )
 
 

@@ -4,8 +4,10 @@ import pytest
 from tracereg import (
     Dataset,
     EntrySet,
+    FactoredMeasurement,
     GaussianEnsemble,
     MatrixCompletion,
+    MultiTask,
     SolverConfig,
     cv_select,
     default_solver,
@@ -17,8 +19,9 @@ from tracereg import (
     solve_convex,
     stream,
 )
+from tracereg import crossval, solvers
 from tracereg.crossval import FoldPlan
-from tracereg.solvers import Estimate, objective
+from tracereg.solvers import Estimate, lipschitz_estimate, objective
 
 
 def entry_dataset(y_value: float) -> Dataset:
@@ -72,6 +75,19 @@ class TestLambdaGrid:
         with pytest.raises(ValueError):
             lambda_grid(ds, 0.5)
 
+    def test_given_top_gives_the_same_grid_without_lambda_max(self, monkeypatch):
+        b_star = generate_ground_truth(6, 6, 1, stream(31))
+        ds = generate_dataset(GaussianEnsemble(6, 6), b_star, 60, 0.1, seed=32)
+        top = lambda_max(ds)
+        grid = lambda_grid(ds, 0.01 * top)
+        monkeypatch.setattr(crossval, "lambda_max", None)
+        assert lambda_grid(ds, 0.01 * top, top=top) == grid
+        assert lambda_grid(ds, 1.0, top=8.0) == [8.0, 4.0, 2.0, 1.0]
+        with pytest.raises(ValueError):
+            lambda_grid(ds, 1.0, top=0.0)
+        with pytest.raises(ValueError):
+            lambda_grid(ds, 0.0, top=8.0)
+
     def test_grid_top_is_zero_solution_threshold(self):
         b_star = generate_ground_truth(8, 8, 2, stream(4))
         ds = generate_dataset(GaussianEnsemble(8, 8), b_star, 100, 0.1, seed=5)
@@ -90,10 +106,13 @@ class TestCvError:
         ms = EntrySet([0, 1, 0, 1], [0, 0, 1, 1], np.ones(4), 2, 2)
         ds = Dataset(MatrixCompletion(2, 2, plain_entries=True), ms, np.zeros(4), 0.0, seed=0)
         plan = FoldPlan(k=2, assignments=np.array([0, 0, 1, 1]))
-        solver = lambda sub, lam, x0: Estimate(
-            b_hat=np.zeros((2, 2)), lam=lam, objective=objective(sub, lam, np.zeros((2, 2))),
-            iters=0, converged=True, method="convex",
-        )
+        solver = lambda subs, lam, x0s: [
+            Estimate(
+                b_hat=np.zeros((2, 2)), lam=lam, objective=objective(sub, lam, np.zeros((2, 2))),
+                iters=0, converged=True, method="convex",
+            )
+            for sub in subs
+        ]
         assert cold_cv_error(ds, plan, 1.0, solver) == 0.0
 
     def test_matches_hand_rolled_two_fold_oracle(self):
@@ -156,9 +175,10 @@ class TestCvSelect:
         _, ds = self.make_instance(seed=17)
         plan = make_folds(ds.n, 3, stream(18))
         zero = np.zeros((10, 10))
-        stub = lambda sub, lam, x0: Estimate(
-            b_hat=zero, lam=lam, objective=objective(sub, lam, zero), iters=0, converged=True, method="convex"
-        )
+        stub = lambda subs, lam, x0s: [
+            Estimate(b_hat=zero, lam=lam, objective=objective(sub, lam, zero), iters=0, converged=True, method="convex")
+            for sub in subs
+        ]
         grid = [4.0, 2.0, 1.0]
         res = cv_select(ds, plan, grid, stub)
         assert np.all(res.e_hat == res.e_hat[0])
@@ -220,6 +240,71 @@ class TestCvSelect:
             np.sum((solve_convex(ds, lam).b_hat - b_star) ** 2) / np.sum(b_star**2) for lam in grid
         )
         assert cv_err <= 1.5 * oracle_err
+
+
+SPECS = [
+    MatrixCompletion(7, 7),
+    MultiTask(7, 5),
+    GaussianEnsemble(5, 7),
+    FactoredMeasurement(7, 7),
+]
+
+
+class TestLockstepFolds:
+    """The default hook solves the K folds of one lam in lockstep; every fold
+    fit must be the one a lone solve_convex warm-started along the grid gives."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("mode", ["default", "fixed_step", "max_iters"])
+    def test_bit_identical_to_sequential_solves(self, spec, mode, monkeypatch):
+        b_star = generate_ground_truth(spec.d_r, spec.d_c, 2, stream(33))
+        ds = generate_dataset(spec, b_star, 103, 0.3, seed=34)
+        plan = make_folds(ds.n, 4, stream(35))
+        assert len(set(plan.sizes())) == 2  # 103 = 26 + 3 * 25
+        grid = lambda_grid(ds, 0.02 * lambda_max(ds))
+        cfg = {
+            "default": SolverConfig(max_iters=2000, rel_obj_tol=1e-7),
+            # a step 8x past 1/L forces restarts and backtracking
+            "fixed_step": SolverConfig(step=8.0 / lipschitz_estimate(ds), rel_obj_tol=1e-9),
+            "max_iters": SolverConfig(max_iters=6, rel_obj_tol=1e-14),
+        }[mode]
+        proxes = []
+        real = solvers._soft_threshold_stack
+        monkeypatch.setattr(
+            solvers, "_soft_threshold_stack", lambda ms, taus, singulars=None: proxes.append(len(ms)) or real(ms, taus, singulars)
+        )
+        res = cv_select(ds, plan, grid, default_solver(cfg))
+        monkeypatch.undo()
+        warm = [None] * plan.k
+        for j, lam in enumerate(grid):
+            total = 0.0
+            for fold in range(plan.k):
+                lone = solve_convex(ds.subset(plan.complement(fold)), lam, cfg, x0=warm[fold])
+                warm[fold] = lone.b_hat
+                est = res.per_fold_estimates[j][fold]
+                assert np.array_equal(est.b_hat, lone.b_hat)
+                assert (est.objective, est.iters, est.converged, est.history, est.stop_reason) == (
+                    lone.objective, lone.iters, lone.converged, lone.history, lone.stop_reason
+                )
+                hold = ds.subset(plan.indices(fold))
+                resid = hold.y - hold.measurements.apply(lone.b_hat)
+                total += float(resid @ resid)
+            assert res.e_hat[j] == total / ds.n
+        fits = [est for row in res.per_fold_estimates for est in row]
+        reasons = {est.stop_reason for est in fits}
+        # the first rung, at lambda_max, stops at once on the zero matrix
+        assert "rel_dec" in reasons
+        assert ("max_iters" in reasons) == (mode == "max_iters")
+        if mode == "fixed_step":
+            # restarts and backtracking took prox steps beyond one per iteration
+            assert sum(proxes) > sum(est.iters for est in fits)
+
+    def test_hook_must_return_one_estimate_per_fold(self):
+        ds = generate_dataset(MatrixCompletion(4, 4), generate_ground_truth(4, 4, 1, stream(36)), 40, 0.1, seed=37)
+        plan = make_folds(ds.n, 3, stream(38))
+        short = lambda subs, lam, x0s: default_solver()(subs[:2], lam, x0s[:2])
+        with pytest.raises(ValueError, match="3 folds"):
+            cv_select(ds, plan, [lambda_max(ds) / 2], short)
 
 
 class TestGeneralizationProbe:

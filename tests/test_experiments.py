@@ -21,7 +21,7 @@ from tracereg.experiments import (
     run_rsc_probe,
     summarize,
 )
-from tracereg.sampling import ENSEMBLES
+from tracereg.sampling import ENSEMBLES, MatrixCompletion, generate_dataset, load_dataset, save_dataset
 from tracereg.solvers import lambda_max
 
 
@@ -321,6 +321,19 @@ class TestCli:
         for kind in ENSEMBLES:
             cfg = cli.resolve_config(cli.build_parser().parse_args(["figure1", "--ensemble", kind]))
             assert isinstance(experiments.make_ensemble(cfg), ENSEMBLES[kind])
+
+    def test_corrupted_dataset_file_exit_code(self, tmp_path, monkeypatch, capsys):
+        # no subcommand reads a dataset file yet, so the run is replaced by
+        # one that loads a dataset whose stored row index is negative
+        path = tmp_path / "ds.npz"
+        save_dataset(generate_dataset(MatrixCompletion(4, 4), np.ones((4, 4)), 8, 0.1, seed=1), path)
+        with np.load(path) as z:
+            payload = dict(z)
+        payload["rows"] = np.r_[-1, payload["rows"][1:]]
+        np.savez(path, **payload)
+        monkeypatch.setattr(cli, "run_figure1", lambda cfg: load_dataset(path))
+        assert main(["figure1", "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: rows must lie in [0, 4)"]
 
     def test_config_error_exit_code(self, tmp_path):
         code = main(["exact-recovery", "--sigma", "1.0", "--d", "8", "--n", "64", "--out-dir", str(tmp_path)])

@@ -14,7 +14,7 @@ from tracereg import (
     svd,
     trace_inner,
 )
-from tracereg.linalg import SvdFactors
+from tracereg.linalg import SvdFactors, _soft_threshold_stack
 
 
 class TestTraceInner:
@@ -255,3 +255,64 @@ class TestGramKernelAccuracy:
     @given(m=_spectral_matrices())
     def test_operator_norm_matches_two_norm(self, m):
         assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0.0)
+
+
+# The stacked kernel behind the lockstep cross-validation folds: P matrices
+# of one tall, wide or square shape, each of random rank (rank-deficient
+# Gram matrices give zero and tiny negative eigenvalues) and C or Fortran
+# layout (solver iterates of wide problems are Fortran-ordered), each with
+# its own tau: zero, above s_max, or s_max / 10**r.
+@st.composite
+def _stacks(draw):
+    shape = _SHAPES[draw(st.sampled_from(["tall", "wide", "square"]))](draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ms, taus = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        rank = draw(st.integers(0, min(shape)))
+        m = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        s_max = np.linalg.norm(m, 2)
+        kind = draw(st.sampled_from(["zero", "above", "inside"]))
+        if kind == "zero":
+            tau = 0.0
+        elif kind == "above":
+            tau = 2.0 * s_max + 1.0
+        else:
+            tau = (s_max if s_max > 0 else 1.0) / 10.0 ** draw(st.floats(0.0, 6.0))
+        ms.append(np.asfortranarray(m) if draw(st.booleans()) else m)
+        taus.append(tau)
+    return ms, taus
+
+
+class TestStackedSoftThreshold:
+    @_KERNEL_SETTINGS
+    @given(case=_stacks())
+    def test_bit_identical_to_soft_threshold(self, case):
+        ms, taus = case
+        buf = np.full((len(ms), min(ms[0].shape)), np.nan)
+        outs = _soft_threshold_stack(ms, taus, singulars=buf)
+        assert len(outs) == len(ms)
+        for m, tau, out, row in zip(ms, taus, outs, buf):
+            ref_buf = np.full(min(m.shape), np.nan)
+            ref = soft_threshold(m, tau, singulars=ref_buf)
+            assert out.shape == ref.shape
+            assert np.array_equal(out, ref)
+            assert np.array_equal(row, ref_buf)
+
+    def test_captured_sizes_bit_identical(self):
+        # the fold shapes of the benchmark's experiments, at a mid-path tau
+        rng = stream(40)
+        for d in (30, 50):
+            ms = [rng.standard_normal((d, d)) for _ in range(5)]
+            taus = [0.5 * np.linalg.norm(m, 2) for m in ms]
+            for m, tau, out in zip(ms, taus, _soft_threshold_stack(ms, taus)):
+                assert np.array_equal(out, soft_threshold(m, tau))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="one shape"):
+            _soft_threshold_stack([np.eye(3), np.eye(4)], [0.1, 0.1])
+        with pytest.raises(ValueError, match="one tau"):
+            _soft_threshold_stack([np.eye(3)], [0.1, 0.1])
+        with pytest.raises(ValueError, match="non-negative"):
+            _soft_threshold_stack([np.eye(3)], [-0.1])
+        with pytest.raises(ValueError, match="singulars"):
+            _soft_threshold_stack([np.eye(3)], [0.1], singulars=np.empty((1, 2)))

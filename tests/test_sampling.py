@@ -12,6 +12,7 @@ from tracereg import (
     MatrixCompletion,
     MultiTask,
     RankOneSet,
+    RowVectorSet,
     generate_dataset,
     generate_ground_truth,
     load_dataset,
@@ -355,6 +356,45 @@ class TestSerialization:
         assert np.array_equal(sub.y, ds.y[idx])
         b = stream(37).standard_normal((5, 5))
         assert np.allclose(sub.measurements.apply(b), ds.measurements.apply(b)[idx])
+
+
+def corrupt_saved_indices(path, key: str, value: int) -> None:
+    """Overwrite the first stored index ``key`` of a saved dataset."""
+    with np.load(path) as z:
+        payload = dict(z)
+    payload[key] = payload[key].copy()
+    payload[key][0] = value
+    np.savez(path, **payload)
+
+
+class TestIndexBounds:
+    @pytest.mark.parametrize("rows,cols", [([-1], [0]), ([3], [0]), ([0], [-1]), ([0], [3]), ([0, 2, 5], [1, 1, 1])])
+    def test_entry_set_rejects_out_of_range(self, rows, cols):
+        with pytest.raises(ValueError, match="must lie in"):
+            EntrySet(rows, cols, np.ones(len(rows)), 3, 3)
+
+    @pytest.mark.parametrize("row", [-1, 3, -(2**62)])
+    def test_row_vector_set_rejects_out_of_range(self, row):
+        with pytest.raises(ValueError, match="rows must lie in"):
+            RowVectorSet([0, row], np.ones((2, 4)), 3, 4)
+
+    def test_in_range_and_empty_accepted(self):
+        assert len(EntrySet([0, 2], [3, 0], [1.0, 2.0], 3, 4)) == 2
+        assert len(EntrySet([], [], [], 3, 4)) == 0
+        assert len(RowVectorSet([2, 0], np.ones((2, 4)), 3, 4)) == 2
+
+    @pytest.mark.parametrize(
+        "spec,key,value",
+        [(MatrixCompletion(4, 5), "rows", -1), (MatrixCompletion(4, 5), "cols", 5), (MultiTask(4, 5), "rows", 4)],
+        ids=["entry-negative-row", "entry-col-past-end", "row-vector-row-past-end"],
+    )
+    def test_load_dataset_rejects_corrupted_indices(self, spec, key, value, tmp_path):
+        ds = generate_dataset(spec, np.ones(spec.shape), 10, 0.1, seed=39)
+        path = tmp_path / "ds.npz"
+        save_dataset(ds, path)
+        corrupt_saved_indices(path, key, value)
+        with pytest.raises(ValueError, match=f"{key} must lie in"):
+            load_dataset(path)
 
 
 class TestDatasetValidation:

@@ -18,12 +18,13 @@ from tracereg import (
     project_perp,
     soft_threshold,
     solve_convex,
+    solve_convex_batch,
     solve_factored,
     solve_noiseless,
     stream,
     trace_inner,
 )
-from tracereg import solvers
+from tracereg import DenseSet, solvers
 from tracereg.solvers import _power_iteration, lipschitz_estimate
 from tracereg.theory import calibrate_lambda0
 
@@ -178,6 +179,99 @@ class TestSolveConvex:
         assert counts["svd"] <= counts["prox"] + 1
         assert counts["op"] <= 2 * counts["prox"] + 2
         assert est.objective == pytest.approx(objective(ds, lam, est.b_hat), rel=1e-12)
+
+
+def assert_same_estimate(a, b):
+    """Bit-for-bit equality of two convex-route Estimates."""
+    assert np.array_equal(a.b_hat, b.b_hat)
+    assert (a.lam, a.objective, a.iters, a.converged, a.method, a.history, a.stop_reason) == (
+        b.lam, b.objective, b.iters, b.converged, b.method, b.history, b.stop_reason
+    )
+
+
+def scaled_pair(seed=40, d=6, n=80, factor=10.0):
+    """Two Gaussian problems of one shape whose Lipschitz constants differ
+    by factor**2: the second has every measurement scaled by ``factor``."""
+    b_star = generate_ground_truth(d, d, 1, stream(seed))
+    ds = generate_dataset(GaussianEnsemble(d, d), b_star, n, 0.1, seed=seed + 1)
+    big = Dataset(ds.spec, DenseSet(factor * ds.measurements.mats), factor * ds.y, ds.noise_sigma, ds.seed)
+    return ds, big
+
+
+class TestStopReason:
+    def test_rel_dec_and_max_iters(self):
+        _, _, ds = mc_instance(seed=13)
+        done = solve_convex(ds, 0.2 * lambda_max(ds))
+        assert done.stop_reason == "rel_dec" and done.converged
+        cut = solve_convex(ds, 0.05 * lambda_max(ds), SolverConfig(max_iters=3, rel_obj_tol=1e-14))
+        assert cut.stop_reason == "max_iters" and not cut.converged
+
+    def test_stalled_lone_solve(self):
+        # a step 100x past 1/L with no backtracking cannot descend
+        _, _, ds = mc_instance(seed=14)
+        cfg = SolverConfig(step=100.0 / lipschitz_estimate(ds), backtracking=False)
+        est = solve_convex(ds, 0.2 * lambda_max(ds), cfg)
+        assert est.stop_reason == "stalled"
+        assert est.converged  # unchanged meaning: a stalled solve reports converged
+        assert est.iters == 1 and est.history == (est.objective,)
+
+    def test_stalled_fold_inside_a_batch(self):
+        # one step size: 1/L for the first problem, 100/L for the second
+        ds, big = scaled_pair()
+        cfg = SolverConfig(step=1.0 / lipschitz_estimate(ds), backtracking=False)
+        lam = 0.2 * lambda_max(ds)
+        batch = solve_convex_batch([ds, big], lam, cfg)
+        assert [est.stop_reason for est in batch] == ["rel_dec", "stalled"]
+        assert batch[0].iters > 1
+        for est, lone in zip(batch, (ds, big)):
+            assert_same_estimate(est, solve_convex(lone, lam, cfg))
+
+    def test_factored_stop_reason(self):
+        _, _, ds = mc_instance(seed=15)
+        lam = 0.2 * lambda_max(ds)
+        assert solve_factored(ds, lam, 2).stop_reason == "rel_dec"
+        assert solve_factored(ds, lam, 2, SolverConfig(max_iters=1, rel_obj_tol=1e-14)).stop_reason == "max_iters"
+
+
+class TestSolveConvexBatch:
+    def test_matches_lone_solves_with_warm_starts(self):
+        _, _, ds = mc_instance(seed=16)
+        parts = [ds.subset(np.arange(i, ds.n, 3)) for i in range(3)]
+        lam = 0.2 * lambda_max(ds)
+        x0s = [None, solve_convex(parts[1], 2 * lam).b_hat, np.zeros(ds.measurements.shape)]
+        for cfg in (SolverConfig(), SolverConfig(step=4.0 / lipschitz_estimate(ds)), SolverConfig(max_iters=4)):
+            batch = solve_convex_batch(parts, lam, cfg, x0s)
+            for part, x0, est in zip(parts, x0s, batch):
+                assert_same_estimate(est, solve_convex(part, lam, cfg, x0=x0))
+
+    def test_finished_problem_leaves_the_batch(self, monkeypatch):
+        ds, big = scaled_pair(seed=42)
+        cfg = SolverConfig(step=1.0 / lipschitz_estimate(ds), backtracking=False)
+        sizes = []
+        real = solvers._soft_threshold_stack
+
+        def stack(ms, taus, singulars=None):
+            sizes.append(len(ms))
+            return real(ms, taus, singulars=singulars)
+
+        monkeypatch.setattr(solvers, "_soft_threshold_stack", stack)
+        monkeypatch.setattr(solvers, "soft_threshold", None)  # the batch never takes the lone route
+        batch = solve_convex_batch([ds, big], 0.2 * lambda_max(ds), cfg)
+        assert batch[1].stop_reason == "stalled"
+        # the stalled problem takes a step and a restart, then leaves
+        assert sizes[:2] == [2, 2] and set(sizes[2:]) == {1}
+        assert len(sizes) >= batch[0].iters > 2
+
+    def test_rejects_bad_batches(self):
+        _, _, ds = mc_instance(seed=17)
+        _, _, other = mc_instance(d=8, seed=18)
+        with pytest.raises(ValueError, match="one matrix shape"):
+            solve_convex_batch([ds, other], 1.0)
+        with pytest.raises(ValueError, match="warm start"):
+            solve_convex_batch([ds, ds], 1.0, x0s=[None])
+        with pytest.raises(ValueError, match="positive"):
+            solve_convex_batch([ds], 0.0)
+        assert solve_convex_batch([], 1.0) == []
 
 
 @pytest.fixture()
