@@ -46,11 +46,11 @@ from .solvers import (
     lambda_max,
     objective,
     solve_convex,
-    solve_convex_batch,
+    solve_path,
     solve_factored,
     solve_noiseless,
 )
-from .crossval import CvResult, FoldPlan, cv_select, default_solver, lambda_grid, make_folds
+from .crossval import CvResult, FoldPlan, cv_select, lambda_grid, make_folds
 from .theory import (
     CalibrationReport,
     RademacherSketch,

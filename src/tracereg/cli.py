@@ -27,35 +27,32 @@ from .experiments import (
 )
 from .sampling import ENSEMBLES
 
-_TUPLE_INT_KEYS = {"n_grid"}
-_TUPLE_STR_KEYS = {"estimators"}
-_BOOL_KEYS = {"paper_scale"}
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+# parsers of a raw string, keyed by the ExperimentConfig field's annotation
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": lambda raw: _BOOL_WORDS[raw.lower()],
+    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v),
+    "tuple[str, ...]": lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str):
+    """The typed value of config key ``key`` from its raw string; raises
+    ConfigError when the string does not parse."""
     raw = raw.strip()
-    if key in _TUPLE_INT_KEYS:
-        return tuple(int(v) for v in raw.split(",") if v)
-    if key in _TUPLE_STR_KEYS:
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"cannot parse boolean {key}={raw!r}")
-    kind = {f.name: f.type for f in fields(ExperimentConfig)}.get(key)
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    try:
+        return _PARSERS.get(_FIELD_TYPES.get(key), str)(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"cannot parse {key}={raw!r}") from None
 
 
 def load_config_file(path: str) -> dict:
     """Read a flat key=value config file; blank lines and #-comments are
     ignored."""
-    known = {f.name for f in fields(ExperimentConfig)}
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -66,9 +63,12 @@ def load_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _parse_value(key, raw)
+            try:
+                out[key] = _parse_value(key, raw)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -105,28 +105,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         file_values = load_config_file(args.config)
         file_values.pop("experiment", None)
         values.update(file_values)
-    for key in (
-        "ensemble",
-        "d",
-        "r",
-        "sigma",
-        "replicates",
-        "k_folds",
-        "seed",
-        "out_dir",
-        "calib_reps",
-        "trials",
-        "multiplier",
-        "calib_quantile",
-        "paper_scale",
-    ):
-        val = getattr(args, key, None)
+    for f in fields(ExperimentConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            values[key] = val
-    if getattr(args, "n_grid", None) is not None:
-        values["n_grid"] = _parse_value("n_grid", args.n_grid)
-    if getattr(args, "estimators", None) is not None:
-        values["estimators"] = _parse_value("estimators", args.estimators)
+            # the list-valued flags arrive as comma-separated strings
+            values[f.name] = _parse_value(f.name, val) if f.type.startswith("tuple") else val
     if values["experiment"] == "exact_recovery":
         values.setdefault("sigma", 0.0)
         values.setdefault("ensemble", "gaussian_ensemble")

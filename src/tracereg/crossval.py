@@ -5,10 +5,10 @@ is fit on each fold's complement and scored on the held-out fold.  The
 selected estimator averages the K complement fits at the winning lam,
 weighted by fold size.
 
-The solver hook fits all K folds of one lam in one call.  The default
-hook runs them in lockstep (``solvers.solve_convex_batch``): each round
-takes the K prox steps from one stacked eigendecomposition, and every
-fold's fit is bit-identical to a lone ``solve_convex`` on it.
+The K fold fits walk the grid together through ``solvers.solve_path``,
+warm-started from rung to rung and solved in lockstep: each round takes
+the K prox steps from one stacked eigendecomposition, and every fold's
+fit is bit-identical to a chain of lone ``solve_convex`` calls on it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import Dataset
-from .solvers import Estimate, SolverConfig, lambda_max, solve_convex_batch
+from .solvers import Estimate, SolverConfig, lambda_max, solve_path
 
 __all__ = [
     "FoldPlan",
@@ -26,7 +26,6 @@ __all__ = [
     "make_folds",
     "lambda_grid",
     "cv_select",
-    "default_solver",
 ]
 
 
@@ -76,18 +75,6 @@ def lambda_grid(ds: Dataset, lambda_min: float, top: float | None = None) -> lis
     return grid
 
 
-def default_solver(cfg: SolverConfig = SolverConfig()):
-    """Convex-route solver hook for cross-validation: a callable
-    (datasets, lam, x0s) -> list[Estimate] that solves the K fold problems
-    of one lam in lockstep with :func:`~tracereg.solvers.solve_convex_batch`;
-    each fold's Estimate is bit-identical to solve_convex's."""
-
-    def run(datasets, lam: float, x0s) -> list[Estimate]:
-        return solve_convex_batch(datasets, lam, cfg, x0s)
-
-    return run
-
-
 @dataclass(frozen=True)
 class CvResult:
     """Grid, per-lam out-of-fold errors, the winning lam, the averaged
@@ -101,14 +88,14 @@ class CvResult:
     converged: bool
 
 
-def cv_select(ds: Dataset, plan: FoldPlan, grid, solver) -> CvResult:
-    """Compute out-of-fold errors over a decreasing lam grid and return
-    the fold-size-weighted average estimator at the best lam.
+def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfig()) -> CvResult:
+    """Compute out-of-fold errors over a strictly decreasing lam grid and
+    return the fold-size-weighted average estimator at the best lam.
 
-    ``solver(train_sets, lam, x0s)`` returns one Estimate per fold, fit on
-    that fold's complement from the warm start x0s[fold].  Fold fits are
-    warm-started along the grid, so the first lam's fits are cold (x0s is
-    all None).  ``e_hat[j]`` is the per-sample out-of-fold prediction error
+    Each fold's estimator is fit on that fold's complement by
+    :func:`~tracereg.solvers.solve_path` with ``cfg``, so the first lam's
+    fits are cold and each later one is warm-started from the fit before.
+    ``e_hat[j]`` is the per-sample out-of-fold prediction error
     (1/n) sum_k ||y_k - X_k(B_{-k})||^2 at grid[j], stored per sample so it
     compares directly with per-observation noise levels.  Ties at the
     minimum go to the largest lam (strongest regularization).
@@ -116,27 +103,17 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, solver) -> CvResult:
     if len(plan.assignments) != ds.n or np.any((plan.assignments < 0) | (plan.assignments >= plan.k)):
         raise ValueError("fold plan does not cover the dataset")
     grid = [float(g) for g in grid]
-    if len(grid) == 0:
-        raise ValueError("lam grid must be non-empty")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lam grid must be strictly decreasing")
     n = ds.n
     sizes = plan.sizes()
     holds = [ds.subset(plan.indices(fold)) for fold in range(plan.k)]
     trains = [ds.subset(plan.complement(fold)) for fold in range(plan.k)]
-    warm = [None] * plan.k
-    estimates: list[list[Estimate]] = []
+    estimates = solve_path(trains, grid, cfg)
     e_hat = np.empty(len(grid))
-    for j, lam in enumerate(grid):
-        row = list(solver(trains, lam, warm))
-        if len(row) != plan.k:
-            raise ValueError(f"solver returned {len(row)} estimates for {plan.k} folds")
-        warm = [est.b_hat for est in row]
+    for j, row in enumerate(estimates):
         total = 0.0
         for hold, est in zip(holds, row):
             resid = hold.y - hold.measurements.apply(est.b_hat)
             total += float(resid @ resid)
-        estimates.append(row)
         e_hat[j] = total / n
     best = 0
     for j in range(1, len(grid)):

@@ -19,10 +19,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .crossval import cv_select, default_solver, lambda_grid, make_folds
+from .crossval import cv_select, lambda_grid, make_folds
 from .rng import stream
 from .sampling import ENSEMBLES, Dataset, EnsembleSpec, MatrixCompletion, generate_dataset, generate_ground_truth
-from .solvers import SolverConfig, lambda_max, solve_convex, solve_noiseless
+from .solvers import SolverConfig, lambda_max, solve_convex, solve_noiseless, solve_path
 from .theory import calibrate_lambda0, rsc_probe
 
 __all__ = [
@@ -208,11 +208,8 @@ _FIG1_SOLVER = SolverConfig(max_iters=2000, rel_obj_tol=1e-7)
 def _oracle_path(ds: Dataset, b_star: np.ndarray, grid: list[float]) -> tuple[float, float, bool]:
     """Best relative error over a decreasing lam grid, with warm starts;
     the winning lam is chosen with knowledge of the target."""
-    warm = None
     best = (math.inf, grid[0], True)
-    for lam in grid:
-        est = solve_convex(ds, lam, _FIG1_SOLVER, x0=warm)
-        warm = est.b_hat
+    for lam, (est,) in zip(grid, solve_path([ds], grid, _FIG1_SOLVER)):
         err = relative_error(est.b_hat, b_star)
         if err < best[0]:
             best = (err, lam, est.converged)
@@ -246,7 +243,7 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                     err, lam_used, conv = _oracle_path(ds, b_star, lambda_grid(ds, lam_floor, top=top))
                 elif name == "cv":
                     plan = make_folds(n, cfg.k_folds, stream(child_seed(cfg.seed, "folds", n, rep)))
-                    result = cv_select(ds, plan, lambda_grid(ds, 0.01 * top, top=top), default_solver(_FIG1_SOLVER))
+                    result = cv_select(ds, plan, lambda_grid(ds, 0.01 * top, top=top), _FIG1_SOLVER)
                     err, lam_used, conv = relative_error(result.b_cv, b_star), result.lambda_cv, result.converged
                 else:  # pragma: no cover - validate() rejects unknown names
                     raise ConfigError(f"unknown estimator {name!r}")

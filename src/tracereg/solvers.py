@@ -3,19 +3,19 @@
 The convex route minimizes (1/n)||y - X(B)||^2 + lam*||B||_* by an
 accelerated proximal-gradient method with a monotone restart; the
 factored route alternates exact ridge solves over the two factors of
-B = U V^T.  A continuation scheme over a decreasing lam ladder handles
-the noiseless minimum-nuclear-norm problem.  Every solve returns an
-Estimate carrying its certificate data, and ``check_goodness`` verifies
-a posteriori that an estimate's loss does not exceed the loss at the
-target matrix.
+B = U V^T.  Every solve returns an Estimate carrying its certificate
+data, and ``check_goodness`` verifies a posteriori that an estimate's
+loss does not exceed the loss at the target matrix.
 
 The convex solve is written once, as a generator that yields its prox
-inputs; ``solve_convex`` drives one of them through ``soft_threshold``,
-and ``solve_convex_batch`` drives several same-shape problems in
-lockstep, taking each round's prox steps from one stacked ``eigh``
-(``linalg._soft_threshold_stack``, bit-identical to soft_threshold).
-Cross-validation solves its K folds that way, and each fold's Estimate
-equals the one a lone solve_convex returns.
+inputs; ``solve_convex`` drives one of them through ``soft_threshold``.
+``solve_path`` walks a decreasing lam grid with warm starts, the one
+walk behind cross-validation, the figure1 oracle and the noiseless
+continuation ladder.  It runs several same-shape problems (the K
+cross-validation folds) in lockstep, taking each round's prox steps from
+one stacked ``eigh`` (``linalg._soft_threshold_stack``, bit-identical to
+soft_threshold), so each Estimate equals the one a lone solve_convex
+returns.
 
 The Lipschitz estimate is memoized per MeasurementSet object, so
 measurement sets must not be mutated in place once a solver has seen
@@ -41,7 +41,7 @@ __all__ = [
     "lambda_max",
     "lipschitz_estimate",
     "solve_convex",
-    "solve_convex_batch",
+    "solve_path",
     "solve_factored",
     "solve_noiseless",
     "check_goodness",
@@ -245,9 +245,8 @@ def solve_convex(
     of the extrapolated point follows by linearity, and the penalty at z
     is the sum of the shrunk singular values.  With cfg.step=None the
     step is 1/L from :func:`lipschitz_estimate`, which is memoized per
-    measurement set.  It runs the same iteration as
-    :func:`solve_convex_batch` (one ``_apg`` generator), with the prox
-    taken through soft_threshold.
+    measurement set.  The lockstep rungs of :func:`solve_path` run the
+    same iteration (one ``_apg`` generator) with a stacked prox.
     """
     if lam <= 0:
         raise ValueError("lam must be positive for the convex solver")
@@ -261,31 +260,52 @@ def solve_convex(
         return done.value
 
 
-def solve_convex_batch(
+def solve_path(
     datasets,
-    lam: float,
+    grid,
     cfg: SolverConfig = SolverConfig(),
     x0s=None,
-) -> list[Estimate]:
-    """:func:`solve_convex` on several problems of one measurement shape at
-    one lam, run in lockstep; ``x0s`` holds one warm start (or None) per
-    dataset.
+) -> list[list[Estimate]]:
+    """:func:`solve_convex` of every dataset at each lam of a strictly
+    decreasing ``grid``, warm-started along it: rung j starts from rung
+    j-1's solutions (the first rung from ``x0s``, one warm start or None
+    per dataset).  Row j of the result holds one Estimate per dataset.
 
-    Each problem keeps its own step, momentum, restart, backtracking and
-    stop state, and leaves the batch when it stops.  Every round takes one
-    prox for each problem still running from one stacked ``eigh`` of their
-    Gram matrices (``linalg._soft_threshold_stack``), which matches
-    soft_threshold bit for bit, so each returned Estimate equals the one
-    ``solve_convex(datasets[i], lam, cfg, x0s[i])`` returns.
+    One dataset is solved by solve_convex itself.  Several, which must
+    share one measurement shape, run each rung in lockstep: each keeps its
+    own step, momentum, restart, backtracking and stop state and leaves
+    the rung when it stops, and every round takes one prox for each
+    problem still running from one stacked ``eigh`` of their Gram
+    matrices (``linalg._soft_threshold_stack``), which matches
+    soft_threshold bit for bit.  So every Estimate equals the one a chain
+    of lone solve_convex calls returns.
     """
-    if lam <= 0:
+    grid = [float(lam) for lam in grid]
+    if not grid:
+        raise ValueError("lam grid must be non-empty")
+    if not all(a > b for a, b in zip(grid, grid[1:])):
+        raise ValueError("lam grid must be strictly decreasing")
+    if not grid[-1] > 0:
         raise ValueError("lam must be positive for the convex solver")
     datasets = list(datasets)
-    x0s = [None] * len(datasets) if x0s is None else list(x0s)
-    if len(x0s) != len(datasets):
+    warm = [None] * len(datasets) if x0s is None else list(x0s)
+    if len(warm) != len(datasets):
         raise ValueError("need one warm start (or None) per dataset")
     if len({ds.measurements.shape for ds in datasets}) > 1:
         raise ValueError("batched problems must share one matrix shape")
+    path = []
+    for lam in grid:
+        if len(datasets) == 1:
+            row = [solve_convex(datasets[0], lam, cfg, warm[0])]
+        else:
+            row = _lockstep_rung(datasets, lam, cfg, warm)
+        warm = [est.b_hat for est in row]
+        path.append(row)
+    return path
+
+
+def _lockstep_rung(datasets: list[Dataset], lam: float, cfg: SolverConfig, x0s: list) -> list[Estimate]:
+    """One rung of :func:`solve_path` over several problems in lockstep."""
     solves = [_apg(ds, lam, cfg, x0) for ds, x0 in zip(datasets, x0s)]
     results: list = [None] * len(solves)
     pending = {i: next(solve) for i, solve in enumerate(solves)}
@@ -381,12 +401,11 @@ NOISELESS_RESIDUAL_TOL = 1e-3
 def solve_noiseless(ds: Dataset, cfg: SolverConfig = SolverConfig(max_iters=2000)) -> Estimate:
     """Minimum-nuclear-norm recovery for noiseless data.
 
-    Runs the convex solver over a geometrically decreasing lam ladder
-    with warm starts; with exact responses the data-fit term vanishes at
-    the constrained optimum, so the final rung approximates the
-    minimum-nuclear-norm matrix consistent with the observations.  The
-    relative constraint residual is reported, and converged=False when
-    it exceeds 1e-3.
+    Walks a geometrically decreasing lam ladder with :func:`solve_path`;
+    with exact responses the data-fit term vanishes at the constrained
+    optimum, so the final rung approximates the minimum-nuclear-norm
+    matrix consistent with the observations.  The relative constraint
+    residual is reported, and converged=False when it exceeds 1e-3.
     """
     lam0 = lambda_max(ds)
     if lam0 == 0.0:
@@ -396,21 +415,16 @@ def solve_noiseless(ds: Dataset, cfg: SolverConfig = SolverConfig(max_iters=2000
         resid = 0.0 if ynorm == 0.0 else 1.0
         return Estimate(zero, 0.0, objective(ds, 0.0, zero), 0, resid <= NOISELESS_RESIDUAL_TOL,
                         "noiseless", residual=resid)
-    x = None
-    total_iters = 0
-    est = None
-    for j in range(NOISELESS_LADDER_STEPS + 1):
-        lam = lam0 / NOISELESS_LADDER_FACTOR**j
-        est = solve_convex(ds, lam, cfg, x0=x)
-        x = est.b_hat
-        total_iters += est.iters
-    resid_num = np.linalg.norm(ds.y - ds.measurements.apply(x))
+    ladder = [lam0 / NOISELESS_LADDER_FACTOR**j for j in range(NOISELESS_LADDER_STEPS + 1)]
+    path = solve_path([ds], ladder, cfg)
+    (est,) = path[-1]
+    resid_num = np.linalg.norm(ds.y - ds.measurements.apply(est.b_hat))
     resid = float(resid_num / max(np.linalg.norm(ds.y), 1e-300))
     return Estimate(
-        b_hat=x,
+        b_hat=est.b_hat,
         lam=est.lam,
         objective=est.objective,
-        iters=total_iters,
+        iters=sum(row[0].iters for row in path),
         converged=resid <= NOISELESS_RESIDUAL_TOL,
         method="noiseless",
         residual=resid,

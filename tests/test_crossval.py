@@ -10,7 +10,6 @@ from tracereg import (
     MultiTask,
     SolverConfig,
     cv_select,
-    default_solver,
     generate_dataset,
     generate_ground_truth,
     lambda_grid,
@@ -29,10 +28,25 @@ def entry_dataset(y_value: float) -> Dataset:
     return Dataset(MatrixCompletion(2, 2, plain_entries=True), ms, np.array([y_value]), 0.0, seed=0)
 
 
-def cold_cv_error(ds: Dataset, plan: FoldPlan, lam: float, solver) -> float:
+def cold_cv_error(ds: Dataset, plan: FoldPlan, lam: float, cfg: SolverConfig = SolverConfig()) -> float:
     """Out-of-fold error at one lam from cold fold fits: cv_select on a
     one-value grid."""
-    return float(cv_select(ds, plan, [lam], solver).e_hat[0])
+    return float(cv_select(ds, plan, [lam], cfg).e_hat[0])
+
+
+def stub_path(b_hat: np.ndarray):
+    """Stand-in for solvers.solve_path that fits every fold with b_hat."""
+
+    def path(subs, grid, cfg=SolverConfig(), x0s=None):
+        return [
+            [
+                Estimate(b_hat=b_hat, lam=lam, objective=objective(sub, lam, b_hat), iters=0, converged=True, method="convex")
+                for sub in subs
+            ]
+            for lam in grid
+        ]
+
+    return path
 
 
 class TestMakeFolds:
@@ -100,20 +114,14 @@ class TestLambdaGrid:
 class TestCvError:
     """The single-lam out-of-fold error, computed by cv_select."""
 
-    def test_zero_truth_zero_noise(self):
+    def test_zero_truth_zero_noise(self, monkeypatch):
         # all responses zero except one tiny observation to keep the grid
         # nonempty is unnecessary here: score the zero solution directly
         ms = EntrySet([0, 1, 0, 1], [0, 0, 1, 1], np.ones(4), 2, 2)
         ds = Dataset(MatrixCompletion(2, 2, plain_entries=True), ms, np.zeros(4), 0.0, seed=0)
         plan = FoldPlan(k=2, assignments=np.array([0, 0, 1, 1]))
-        solver = lambda subs, lam, x0s: [
-            Estimate(
-                b_hat=np.zeros((2, 2)), lam=lam, objective=objective(sub, lam, np.zeros((2, 2))),
-                iters=0, converged=True, method="convex",
-            )
-            for sub in subs
-        ]
-        assert cold_cv_error(ds, plan, 1.0, solver) == 0.0
+        monkeypatch.setattr(crossval, "solve_path", stub_path(np.zeros((2, 2))))
+        assert cold_cv_error(ds, plan, 1.0) == 0.0
 
     def test_matches_hand_rolled_two_fold_oracle(self):
         d, n = 3, 12
@@ -121,8 +129,7 @@ class TestCvError:
         ds = generate_dataset(GaussianEnsemble(d, d), b_star, n, 0.3, seed=7)
         plan = make_folds(n, 2, stream(8))
         lam = 0.3 * lambda_max(ds)
-        solver = default_solver()
-        val = cold_cv_error(ds, plan, lam, solver)
+        val = cold_cv_error(ds, plan, lam)
         total = 0.0
         for fold in range(2):
             train = ds.subset(plan.complement(fold))
@@ -140,9 +147,8 @@ class TestCvError:
         relabel = np.array([2, 3, 1, 0])
         permuted = FoldPlan(k=4, assignments=relabel[plan.assignments])
         lam = 0.4 * lambda_max(ds)
-        solver = default_solver()
-        a = cold_cv_error(ds, plan, lam, solver)
-        b = cold_cv_error(ds, permuted, lam, solver)
+        a = cold_cv_error(ds, plan, lam)
+        b = cold_cv_error(ds, permuted, lam)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -157,7 +163,7 @@ class TestCvSelect:
         _, ds = self.make_instance()
         plan = make_folds(ds.n, 3, stream(14))
         lam = 0.5 * lambda_max(ds)
-        res = cv_select(ds, plan, [lam], default_solver())
+        res = cv_select(ds, plan, [lam])
         sizes = plan.sizes()
         manual = sum(
             sizes[f] / ds.n * res.per_fold_estimates[0][f].b_hat for f in range(3)
@@ -171,16 +177,12 @@ class TestCvSelect:
         assert plan.sizes().sum() == ds.n
         assert np.sum(plan.sizes() / ds.n) == pytest.approx(1.0, abs=1e-15)
 
-    def test_tie_breaks_to_largest_lambda(self):
+    def test_tie_breaks_to_largest_lambda(self, monkeypatch):
         _, ds = self.make_instance(seed=17)
         plan = make_folds(ds.n, 3, stream(18))
-        zero = np.zeros((10, 10))
-        stub = lambda subs, lam, x0s: [
-            Estimate(b_hat=zero, lam=lam, objective=objective(sub, lam, zero), iters=0, converged=True, method="convex")
-            for sub in subs
-        ]
+        monkeypatch.setattr(crossval, "solve_path", stub_path(np.zeros((10, 10))))
         grid = [4.0, 2.0, 1.0]
-        res = cv_select(ds, plan, grid, stub)
+        res = cv_select(ds, plan, grid)
         assert np.all(res.e_hat == res.e_hat[0])
         assert res.lambda_cv == 4.0
         # with all fold solutions zero the out-of-fold error is the
@@ -192,7 +194,7 @@ class TestCvSelect:
         _, ds = self.make_instance(seed=19)
         plan = make_folds(ds.n, 3, stream(20))
         grid = lambda_grid(ds, 0.1 * lambda_max(ds))
-        res = cv_select(ds, plan, grid, default_solver())
+        res = cv_select(ds, plan, grid)
         probe = stream(21).standard_normal((10, 10))
         j = res.lambda_grid.index(res.lambda_cv)
         sizes = plan.sizes()
@@ -204,28 +206,28 @@ class TestCvSelect:
         _, ds = self.make_instance(seed=22)
         plan = make_folds(ds.n, 3, stream(23))
         grid = lambda_grid(ds, 0.05 * lambda_max(ds))
-        solver = default_solver(SolverConfig(rel_obj_tol=1e-10))
-        res = cv_select(ds, plan, grid, solver)
+        cfg = SolverConfig(rel_obj_tol=1e-10)
+        res = cv_select(ds, plan, grid, cfg)
         for j, lam in enumerate(grid):
-            cold = cold_cv_error(ds, plan, lam, solver)
+            cold = cold_cv_error(ds, plan, lam, cfg)
             assert res.e_hat[j] == pytest.approx(cold, rel=1e-4, abs=1e-8)
 
     def test_rejects_bad_grids(self):
         _, ds = self.make_instance(seed=24)
         plan = make_folds(ds.n, 3, stream(25))
         with pytest.raises(ValueError):
-            cv_select(ds, plan, [], default_solver())
+            cv_select(ds, plan, [])
         with pytest.raises(ValueError):
-            cv_select(ds, plan, [1.0, 2.0], default_solver())
+            cv_select(ds, plan, [1.0, 2.0])
 
     def test_rejects_plan_not_covering_dataset(self):
         _, ds = self.make_instance(n=20, seed=29)
         short = make_folds(19, 2, stream(30))
         with pytest.raises(ValueError, match="does not cover"):
-            cv_select(ds, short, [1.0], default_solver())
+            cv_select(ds, short, [1.0])
         stray = FoldPlan(k=2, assignments=np.r_[short.assignments, 2])
         with pytest.raises(ValueError, match="does not cover"):
-            cv_select(ds, stray, [1.0], default_solver())
+            cv_select(ds, stray, [1.0])
 
     def test_cv_error_close_to_oracle_error(self):
         d, r, n = 20, 2, 1200
@@ -234,7 +236,7 @@ class TestCvSelect:
         ds = generate_dataset(spec, b_star, n, 1.0, seed=27)
         plan = make_folds(n, 5, stream(28))
         grid = lambda_grid(ds, 0.01 * lambda_max(ds))
-        res = cv_select(ds, plan, grid, default_solver())
+        res = cv_select(ds, plan, grid)
         cv_err = np.sum((res.b_cv - b_star) ** 2) / np.sum(b_star**2)
         oracle_err = min(
             np.sum((solve_convex(ds, lam).b_hat - b_star) ** 2) / np.sum(b_star**2) for lam in grid
@@ -251,8 +253,8 @@ SPECS = [
 
 
 class TestLockstepFolds:
-    """The default hook solves the K folds of one lam in lockstep; every fold
-    fit must be the one a lone solve_convex warm-started along the grid gives."""
+    """cv_select solves the K folds of one lam in lockstep; every fold fit
+    must be the one a lone solve_convex warm-started along the grid gives."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("mode", ["default", "fixed_step", "max_iters"])
@@ -273,7 +275,7 @@ class TestLockstepFolds:
         monkeypatch.setattr(
             solvers, "_soft_threshold_stack", lambda ms, taus, singulars=None: proxes.append(len(ms)) or real(ms, taus, singulars)
         )
-        res = cv_select(ds, plan, grid, default_solver(cfg))
+        res = cv_select(ds, plan, grid, cfg)
         monkeypatch.undo()
         warm = [None] * plan.k
         for j, lam in enumerate(grid):
@@ -299,13 +301,6 @@ class TestLockstepFolds:
             # restarts and backtracking took prox steps beyond one per iteration
             assert sum(proxes) > sum(est.iters for est in fits)
 
-    def test_hook_must_return_one_estimate_per_fold(self):
-        ds = generate_dataset(MatrixCompletion(4, 4), generate_ground_truth(4, 4, 1, stream(36)), 40, 0.1, seed=37)
-        plan = make_folds(ds.n, 3, stream(38))
-        short = lambda subs, lam, x0s: default_solver()(subs[:2], lam, x0s[:2])
-        with pytest.raises(ValueError, match="3 folds"):
-            cv_select(ds, plan, [lambda_max(ds) / 2], short)
-
 
 class TestGeneralizationProbe:
     def test_out_of_fold_error_tracks_population_error(self):
@@ -320,7 +315,7 @@ class TestGeneralizationProbe:
             ds = generate_dataset(spec, b_star, n, sigma, seed=2000 + rep)
             plan = make_folds(n, k, stream(3000 + rep))
             grid = lambda_grid(ds, 0.01 * lambda_max(ds))
-            res = cv_select(ds, plan, grid, default_solver())
+            res = cv_select(ds, plan, grid)
             l2pi_sq = spec.l2pi_norm(res.b_cv - b_star) ** 2
             b_star_bound = spec.spikiness_norm(b_star)
             t = 0.5 * max(sigma**2, b_star_bound**2)

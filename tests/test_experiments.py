@@ -130,9 +130,9 @@ class TestRunFigure1:
         seen, norms = [], []
         real_cv, real_oracle, real_norm = experiments.cv_select, experiments._oracle_path, solvers.operator_norm
 
-        def cv_select(ds, plan, grid, solver):
+        def cv_select(ds, plan, grid, cfg):
             seen.append(("cv", ds, grid))
-            return real_cv(ds, plan, grid, solver)
+            return real_cv(ds, plan, grid, cfg)
 
         def oracle_path(ds, b_star, grid):
             seen.append(("oracle", ds, grid))
@@ -343,6 +343,37 @@ class TestCli:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("nonsense_key=1\n")
         assert main(["figure1", "--config", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize("line", ["d=abc", "sigma=x", "n_grid=100,x", "paper_scale=maybe"])
+    def test_unparseable_config_file_value_exits_2_with_one_line(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"# comment\n{line}\n")
+        assert main(["figure1", "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")]) == 2
+        key, _, raw = line.partition("=")
+        assert capsys.readouterr().err.splitlines() == [f"config error: {cfg_file}:2: cannot parse {key}={raw!r}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_unparseable_sample_sizes_flag_exits_2_with_one_line(self, tmp_path, capsys):
+        assert main(["figure1", "--n", "100,x", "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: cannot parse n_grid='100,x'"]
+        assert not (tmp_path / "out").exists()
+
+    def test_every_flag_reaches_the_config(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["figure1", "--ensemble", "multi_task", "--d", "7", "--r", "3", "--sigma", "0.25", "--n", "30,60",
+             "--replicates", "2", "--k-folds", "4", "--seed", "5", "--estimators", "cv, oracle",
+             "--out-dir", str(tmp_path), "--calib-reps", "11", "--trials", "12", "--multiplier", "1.5",
+             "--quantile", "0.8", "--paper-scale"]
+        )
+        cfg = cli.resolve_config(args)
+        assert (cfg.ensemble, cfg.d, cfg.r, cfg.sigma, cfg.n_grid, cfg.k_folds, cfg.seed, cfg.estimators) == (
+            "multi_task", 7, 3, 0.25, (30, 60), 4, 5, ("cv", "oracle")
+        )
+        assert (cfg.out_dir, cfg.trials, cfg.multiplier, cfg.calib_quantile, cfg.paper_scale) == (
+            str(tmp_path), 12, 1.5, 0.8, True
+        )
+        # paper scale overrides the replicate and calibration counts
+        assert (cfg.replicates, cfg.calib_reps) == (100, 1000)
 
     def test_io_error_exit_code(self):
         code = main(

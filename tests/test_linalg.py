@@ -256,6 +256,24 @@ class TestGramKernelAccuracy:
     def test_operator_norm_matches_two_norm(self, m):
         assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0.0)
 
+    @_KERNEL_SETTINGS
+    @given(m=_spectral_matrices(), log_ratio=st.floats(-0.5, 3.0))
+    def test_prox_optimality_certificate(self, m, log_ratio):
+        # out = soft_threshold(m, tau) minimizes 0.5||X - m||^2 + tau||X||_*
+        # exactly when m - out lies in tau times the subdifferential of the
+        # nuclear norm at out: m - out = tau (U V^T + W) over the kept
+        # singular pairs (U, V), with ||W||_op <= 1, U^T W = 0 and W V = 0
+        s_max = np.linalg.norm(m, 2)
+        tau = (s_max if s_max > 0 else 1.0) / 10.0**log_ratio
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        kept = s > tau
+        u, v = u[:, kept], vh[kept].T
+        tau_w = m - soft_threshold(m, tau) - tau * (u @ v.T)
+        assert np.linalg.norm(tau_w, 2) <= tau * (1.0 + 1e-9)
+        scale = 1e-9 * np.linalg.norm(m)
+        assert np.linalg.norm(u.T @ tau_w) <= scale
+        assert np.linalg.norm(tau_w @ v) <= scale
+
 
 # The stacked kernel behind the lockstep cross-validation folds: P matrices
 # of one tall, wide or square shape, each of random rank (rank-deficient

@@ -323,11 +323,22 @@ class TestDistributionalChecks:
             assert np.mean(kept) >= 0.5 * np.mean(z2) - 3 * se
 
 
+# (spec, n, all-zero responses): each spec at n=40, then for every set
+# type a single row, a single column, a single observation and y = 0
+ROUND_TRIPS = [pytest.param(spec, 40, False, id=f"{spec.kind}-{getattr(spec, 'xi_mode', '')}") for spec in ALL_SPECS]
+ROUND_TRIPS += [
+    pytest.param(cls(*shape), n, zero, id=f"{cls.kind}-{shape[0]}x{shape[1]}-n{n}" + ("-zero_y" if zero else ""))
+    for cls in (MatrixCompletion, MultiTask, GaussianEnsemble, FactoredMeasurement)
+    for shape, n, zero in [((1, 6), 40, False), ((6, 1), 40, False), ((6, 6), 1, False), ((6, 6), 40, True)]
+]
+
+
 class TestSerialization:
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{getattr(s, 'xi_mode', '')}")
-    def test_round_trip(self, spec, tmp_path):
-        b_star = generate_ground_truth(spec.d_r, spec.d_c, 2, stream(34))
-        ds = generate_dataset(spec, b_star, 40, 0.5, seed=35)
+    @pytest.mark.parametrize("spec, n, zero_y", ROUND_TRIPS)
+    def test_round_trip(self, spec, n, zero_y, tmp_path):
+        b_star = generate_ground_truth(spec.d_r, spec.d_c, min(2, spec.d_r, spec.d_c), stream(34))
+        ds = generate_dataset(spec, 0.0 * b_star if zero_y else b_star, n, 0.0 if zero_y else 0.5, seed=35)
+        assert ds.n == n and np.any(ds.y != 0.0) != zero_y
         path = tmp_path / "ds.npz"
         save_dataset(ds, path)
         back = load_dataset(path)

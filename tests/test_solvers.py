@@ -4,23 +4,26 @@ import pytest
 from tracereg import (
     Dataset,
     EntrySet,
+    FactoredMeasurement,
     GaussianEnsemble,
     MatrixCompletion,
+    MultiTask,
     SolverConfig,
     check_goodness,
     generate_dataset,
     generate_ground_truth,
     lambda_max,
     matrix_norm,
+    numerical_rank,
     objective,
     operator_norm,
     project_parallel,
     project_perp,
     soft_threshold,
     solve_convex,
-    solve_convex_batch,
     solve_factored,
     solve_noiseless,
+    solve_path,
     stream,
     trace_inner,
 )
@@ -220,7 +223,7 @@ class TestStopReason:
         ds, big = scaled_pair()
         cfg = SolverConfig(step=1.0 / lipschitz_estimate(ds), backtracking=False)
         lam = 0.2 * lambda_max(ds)
-        batch = solve_convex_batch([ds, big], lam, cfg)
+        batch = solve_path([ds, big], [lam], cfg)[0]
         assert [est.stop_reason for est in batch] == ["rel_dec", "stalled"]
         assert batch[0].iters > 1
         for est, lone in zip(batch, (ds, big)):
@@ -234,13 +237,16 @@ class TestStopReason:
 
 
 class TestSolveConvexBatch:
+    """One rung of solve_path over several same-shape problems, run in
+    lockstep."""
+
     def test_matches_lone_solves_with_warm_starts(self):
         _, _, ds = mc_instance(seed=16)
         parts = [ds.subset(np.arange(i, ds.n, 3)) for i in range(3)]
         lam = 0.2 * lambda_max(ds)
         x0s = [None, solve_convex(parts[1], 2 * lam).b_hat, np.zeros(ds.measurements.shape)]
         for cfg in (SolverConfig(), SolverConfig(step=4.0 / lipschitz_estimate(ds)), SolverConfig(max_iters=4)):
-            batch = solve_convex_batch(parts, lam, cfg, x0s)
+            batch = solve_path(parts, [lam], cfg, x0s)[0]
             for part, x0, est in zip(parts, x0s, batch):
                 assert_same_estimate(est, solve_convex(part, lam, cfg, x0=x0))
 
@@ -256,7 +262,7 @@ class TestSolveConvexBatch:
 
         monkeypatch.setattr(solvers, "_soft_threshold_stack", stack)
         monkeypatch.setattr(solvers, "soft_threshold", None)  # the batch never takes the lone route
-        batch = solve_convex_batch([ds, big], 0.2 * lambda_max(ds), cfg)
+        batch = solve_path([ds, big], [0.2 * lambda_max(ds)], cfg)[0]
         assert batch[1].stop_reason == "stalled"
         # the stalled problem takes a step and a restart, then leaves
         assert sizes[:2] == [2, 2] and set(sizes[2:]) == {1}
@@ -266,12 +272,38 @@ class TestSolveConvexBatch:
         _, _, ds = mc_instance(seed=17)
         _, _, other = mc_instance(d=8, seed=18)
         with pytest.raises(ValueError, match="one matrix shape"):
-            solve_convex_batch([ds, other], 1.0)
+            solve_path([ds, other], [1.0])[0]
         with pytest.raises(ValueError, match="warm start"):
-            solve_convex_batch([ds, ds], 1.0, x0s=[None])
+            solve_path([ds, ds], [1.0], x0s=[None])[0]
         with pytest.raises(ValueError, match="positive"):
-            solve_convex_batch([ds], 0.0)
-        assert solve_convex_batch([], 1.0) == []
+            solve_path([ds], [0.0])[0]
+        assert solve_path([], [1.0])[0] == []
+
+
+class TestSolvePath:
+    def test_one_dataset_is_a_warm_started_chain_of_solve_convex(self, monkeypatch):
+        _, _, ds = mc_instance(seed=19)
+        grid = [0.5 * lambda_max(ds), 0.2 * lambda_max(ds), 0.05 * lambda_max(ds)]
+        x0 = np.full(ds.measurements.shape, 0.1)
+        monkeypatch.setattr(solvers, "_soft_threshold_stack", None)  # one dataset takes the lone route
+        path = solve_path([ds], grid, x0s=[x0])
+        monkeypatch.undo()
+        assert [len(row) for row in path] == [1, 1, 1]
+        warm = x0
+        for lam, (est,) in zip(grid, path):
+            lone = solve_convex(ds, lam, x0=warm)
+            assert_same_estimate(est, lone)
+            warm = lone.b_hat
+
+    @pytest.mark.parametrize(
+        "grid, match",
+        [([], "non-empty"), ([2.0, 2.0], "decreasing"), ([1.0, 2.0], "decreasing"),
+         ([2.0, float("nan")], "decreasing"), ([1.0, 0.0], "positive"), ([-1.0], "positive")],
+    )
+    def test_rejects_bad_grids(self, grid, match):
+        _, _, ds = mc_instance(seed=20)
+        with pytest.raises(ValueError, match=match):
+            solve_path([ds, ds], grid)
 
 
 @pytest.fixture()
@@ -340,6 +372,24 @@ class TestSolveFactored:
         _, _, ds = mc_instance()
         with pytest.raises(ValueError):
             solve_factored(ds, 0.1, 13)
+
+    @pytest.mark.parametrize(
+        "spec", [MatrixCompletion(20, 20), MultiTask(20, 20), GaussianEnsemble(20, 20), FactoredMeasurement(20, 20)],
+        ids=lambda s: s.kind,
+    )
+    def test_certifies_the_convex_solve_above_its_rank(self, spec):
+        # ||U V^T||_* <= (||U||^2 + ||V||^2) / 2, with equality at a balanced
+        # factorization, so at r > rank(convex minimizer) both solvers
+        # minimize the same convex loss: each certifies the other
+        b_star = generate_ground_truth(20, 20, 2, stream(50))
+        ds = generate_dataset(spec, b_star, 600, 0.5, seed=51)
+        lam = 0.2 * lambda_max(ds)
+        convex = solve_convex(ds, lam, SolverConfig(max_iters=20000, rel_obj_tol=1e-14))
+        rank = numerical_rank(convex.b_hat)
+        assert convex.stop_reason == "rel_dec" and 1 <= rank < 19
+        factored = solve_factored(ds, lam, rank + 1, SolverConfig(max_iters=2000, rel_obj_tol=1e-14))
+        assert factored.converged
+        assert factored.objective == pytest.approx(convex.objective, rel=1e-9, abs=0.0)
 
 
 class TestSolveNoiseless:
