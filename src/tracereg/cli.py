@@ -16,6 +16,8 @@ import sys
 from dataclasses import fields
 
 from .experiments import (
+    ALL_ESTIMATORS,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     emit_outputs,
@@ -82,7 +84,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replicates", type=int)
     parser.add_argument("--k-folds", dest="k_folds", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--estimators", help="comma-separated subset of theory1,theory2,theory3,oracle,cv")
+    parser.add_argument("--estimators", help=f"comma-separated subset of {','.join(ALL_ESTIMATORS)}")
     parser.add_argument("--out-dir", dest="out_dir")
     parser.add_argument("--calib-reps", "--reps", dest="calib_reps", type=int)
     parser.add_argument("--trials", type=int)
@@ -94,8 +96,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tracereg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("figure1", "exact-recovery", "rsc-probe", "calibration"):
-        _add_common(sub.add_parser(name))
+    for name in EXPERIMENTS:
+        _add_common(sub.add_parser(name.replace("_", "-")))
     return parser
 
 
@@ -135,11 +137,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if cfg.experiment == "figure1":
-            records = run_figure1(cfg)
-            emit_outputs(records, summarize(records), cfg)
-        elif cfg.experiment == "exact_recovery":
-            records = run_exact_recovery(cfg)
+        if cfg.experiment in ("figure1", "exact_recovery"):
+            records = run_figure1(cfg) if cfg.experiment == "figure1" else run_exact_recovery(cfg)
             emit_outputs(records, summarize(records), cfg)
         elif cfg.experiment == "rsc_probe":
             _write_json(os.path.join(cfg.out_dir, "rsc_probe.json"), run_rsc_probe(cfg))

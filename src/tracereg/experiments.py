@@ -41,6 +41,7 @@ __all__ = [
     "emit_outputs",
 ]
 
+EXPERIMENTS = ("figure1", "exact_recovery", "rsc_probe", "calibration")
 ALL_ESTIMATORS = ("theory1", "theory2", "theory3", "oracle", "cv")
 
 
@@ -71,20 +72,22 @@ class ExperimentConfig:
         cfg = self
         if cfg.paper_scale:
             cfg = replace(cfg, replicates=100, calib_reps=1000)
-        if cfg.experiment not in ("figure1", "exact_recovery", "rsc_probe", "calibration"):
+        if cfg.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {cfg.experiment!r}")
         if cfg.ensemble not in ENSEMBLES:
             raise ConfigError(f"unknown ensemble {cfg.ensemble!r}")
         if cfg.replicates < 1:
             raise ConfigError("replicates must be at least 1")
-        if len(cfg.n_grid) == 0 or any(b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
-            raise ConfigError("n_grid must be non-empty and strictly increasing")
+        if len(cfg.n_grid) == 0 or cfg.n_grid[0] < 1 or any(b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
+            raise ConfigError(f"n_grid must be non-empty, positive and strictly increasing, got {cfg.n_grid}")
         if cfg.d < 1 or not 1 <= cfg.r <= cfg.d:
             raise ConfigError("need d >= 1 and 1 <= r <= d")
         if cfg.k_folds < 2:
             raise ConfigError("k_folds must be at least 2")
-        if cfg.sigma < 0:
-            raise ConfigError("sigma must be non-negative")
+        if not (math.isfinite(cfg.sigma) and cfg.sigma >= 0):
+            raise ConfigError(f"sigma must be finite and non-negative, got {cfg.sigma}")
+        if not math.isfinite(cfg.multiplier):
+            raise ConfigError(f"multiplier must be finite, got {cfg.multiplier}")
         unknown = set(cfg.estimators) - set(ALL_ESTIMATORS)
         if unknown:
             raise ConfigError(f"unknown estimators: {sorted(unknown)}")
@@ -216,6 +219,13 @@ def _oracle_path(ds: Dataset, b_star: np.ndarray, grid: list[float]) -> tuple[fl
     return best
 
 
+def _replicate(cfg: ExperimentConfig, spec: EnsembleSpec, n: int, rep: int) -> tuple[int, np.ndarray, Dataset]:
+    """(data seed, rank-r target, dataset) of replicate ``rep`` at sample size n."""
+    data_seed = child_seed(cfg.seed, "data", n, rep)
+    b_star = generate_ground_truth(cfg.d, cfg.d, cfg.r, stream(child_seed(cfg.seed, "target", n, rep)))
+    return data_seed, b_star, generate_dataset(spec, b_star, n, cfg.sigma, seed=data_seed)
+
+
 def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Relative-error comparison of theory-calibrated, oracle, and
     cross-validated estimators over a grid of sample sizes."""
@@ -227,9 +237,7 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     for n in cfg.n_grid:
         base_quantile = _calibration_quantile(cfg, spec, n)
         for rep in range(cfg.replicates):
-            data_seed = child_seed(cfg.seed, "data", n, rep)
-            b_star = generate_ground_truth(cfg.d, cfg.d, cfg.r, stream(child_seed(cfg.seed, "target", n, rep)))
-            ds = generate_dataset(spec, b_star, n, cfg.sigma, seed=data_seed)
+            data_seed, b_star, ds = _replicate(cfg, spec, n, rep)
             # the oracle and cv grids both start at the zero-solution threshold
             top = lambda_max(ds) if {"oracle", "cv"} & set(cfg.estimators) else None
             for name in cfg.estimators:
@@ -272,9 +280,7 @@ def run_exact_recovery(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     records: list[ExperimentRecord] = []
     for n in cfg.n_grid:
         for rep in range(cfg.replicates):
-            data_seed = child_seed(cfg.seed, "data", n, rep)
-            b_star = generate_ground_truth(cfg.d, cfg.d, cfg.r, stream(child_seed(cfg.seed, "target", n, rep)))
-            ds = generate_dataset(spec, b_star, n, 0.0, seed=data_seed)
+            data_seed, b_star, ds = _replicate(cfg, spec, n, rep)
             est = solve_noiseless(ds)
             err = relative_error(est.b_hat, b_star)
             records.append(
@@ -300,13 +306,10 @@ def run_rsc_probe(cfg: ExperimentConfig) -> dict:
     cfg = cfg.validate()
     spec = make_ensemble(cfg)
     n = cfg.n_grid[0]
-    consts = spec.constants()
     base_quantile = _calibration_quantile(cfg, spec, n)
     lam0 = cfg.multiplier * base_quantile
-    b_star = generate_ground_truth(cfg.d, cfg.d, cfg.r, stream(child_seed(cfg.seed, "target", n, 0)))
-    b_star_bound = spec.spikiness_norm(b_star)
-    nu = lam0**2 * cfg.r / (consts.gamma_min**2 * b_star_bound**2)
-    ds = generate_dataset(spec, b_star, n, cfg.sigma, seed=child_seed(cfg.seed, "data", n, 0))
+    _, b_star, ds = _replicate(cfg, spec, n, 0)
+    nu = lam0**2 * cfg.r / (spec.constants().gamma_min**2 * spec.spikiness_norm(b_star) ** 2)
     report = rsc_probe(ds, nu, 72.0 * cfg.r, cfg.trials, stream(child_seed(cfg.seed, "probe", n)))
     return {
         "experiment": "rsc_probe",

@@ -1,20 +1,23 @@
 """Measurement ensembles for trace regression.
 
 Four sampling distributions over measurement matrices are supported,
-each stored in a structure-exploiting encoding so that applying the
-sampling operator never materializes the dense matrices:
+each drawn as one structure-exploiting MeasurementSet type, so that
+applying the sampling operator never materializes the dense matrices:
 
-  - MatrixCompletion:    X = xi * e_row e_col^T   (one scaled entry)
-  - MultiTask:           X = e_row * vec^T        (one nonzero row)
-  - GaussianEnsemble:    X dense with iid standard normal entries
-  - FactoredMeasurement: X = u v^T                (random rank-one pair)
+  - MatrixCompletion:    X = xi * e_row e_col^T   (EntrySet: one scaled entry)
+  - MultiTask:           X = e_row * vec^T        (RowVectorSet: one nonzero row)
+  - GaussianEnsemble:    X dense, iid standard normal entries (DenseSet)
+  - FactoredMeasurement: X = u v^T                (RankOneSet: random rank-one pair)
 
-A dataset bundles n measurements with responses y_i = <B*, X_i> + eps_i.
+A dataset bundles n measurements of its ensemble's set type and shape
+with responses y_i = <B*, X_i> + eps_i.  A set type's dataclass fields
+name its arrays, and with them the keys of the dataset file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
 import numpy as np
@@ -49,20 +52,29 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _declared(cls) -> tuple[str, ...]:
+    """Constructor fields of dataclass ``cls`` beyond d_r, d_c: a set's arrays or an ensemble's options."""
+    return tuple(f.name for f in fields(cls) if f.init and f.name not in ("d_r", "d_c"))
+
+
 class MeasurementSet:
     """Batch of measurements of one kind with vectorized operator action.
 
-    Subclasses implement ``apply`` (the sampling operator), ``adjoint``
-    (weighted sum of measurement matrices), the factor-design products
-    used by the alternating solver, and subsetting; ``densify`` follows
-    from ``xi_dot``.
+    Subclasses are dataclasses (``eq=False``: sets hash by identity, for
+    the solvers' per-set memo) whose fields are the set's arrays, one entry
+    per measurement along the first axis, then d_r and d_c; ``len``,
+    ``subset`` and the dataset file follow those fields.  Subclasses
+    implement ``apply`` (the sampling operator), ``adjoint`` (weighted sum
+    of measurement matrices) and the factor-design products used by the
+    alternating solver; ``densify`` follows from ``xi_dot``.
     """
 
     d_r: int
     d_c: int
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return len(getattr(self, _declared(type(self))[0]))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -90,7 +102,8 @@ class MeasurementSet:
         return self.xi_dot(np.eye(self.d_c))
 
     def subset(self, idx: np.ndarray) -> "MeasurementSet":
-        raise NotImplementedError
+        """The measurements at ``idx``, rebuilt through the constructor's checks."""
+        return replace(self, **{name: getattr(self, name)[idx] for name in _declared(type(self))})
 
     def _check_b(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -112,19 +125,23 @@ def _check_indices(name: str, idx: np.ndarray, bound: int) -> None:
         raise ValueError(f"{name} must lie in [0, {bound})")
 
 
+@dataclass(eq=False)
 class EntrySet(MeasurementSet):
-    def __init__(self, rows, cols, scales, d_r: int, d_c: int):
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
-        self.scales = np.asarray(scales, dtype=float)
-        self.d_r, self.d_c = int(d_r), int(d_c)
+    rows: np.ndarray
+    cols: np.ndarray
+    scales: np.ndarray
+    d_r: int
+    d_c: int
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.cols = np.asarray(self.cols, dtype=np.int64)
+        self.scales = np.asarray(self.scales, dtype=float)
+        self.d_r, self.d_c = int(self.d_r), int(self.d_c)
         if not (len(self.rows) == len(self.cols) == len(self.scales)):
             raise ValueError("rows, cols, scales must have equal length")
         _check_indices("rows", self.rows, self.d_r)
         _check_indices("cols", self.cols, self.d_c)
-
-    def __len__(self):
-        return len(self.rows)
 
     def apply(self, b):
         b = self._check_b(b)
@@ -148,21 +165,21 @@ class EntrySet(MeasurementSet):
         out[np.arange(n), self.cols, :] = self.scales[:, None] * u[self.rows, :]
         return out
 
-    def subset(self, idx):
-        return EntrySet(self.rows[idx], self.cols[idx], self.scales[idx], self.d_r, self.d_c)
 
-
+@dataclass(eq=False)
 class RowVectorSet(MeasurementSet):
-    def __init__(self, rows, vecs, d_r: int, d_c: int):
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.vecs = np.asarray(vecs, dtype=float)
-        self.d_r, self.d_c = int(d_r), int(d_c)
+    rows: np.ndarray
+    vecs: np.ndarray
+    d_r: int
+    d_c: int
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.vecs = np.asarray(self.vecs, dtype=float)
+        self.d_r, self.d_c = int(self.d_r), int(self.d_c)
         if self.vecs.shape != (len(self.rows), self.d_c):
             raise ValueError("vecs must have shape (n, d_c)")
         _check_indices("rows", self.rows, self.d_r)
-
-    def __len__(self):
-        return len(self.rows)
 
     def apply(self, b):
         b = self._check_b(b)
@@ -183,19 +200,18 @@ class RowVectorSet(MeasurementSet):
     def xi_t_dot(self, u):
         return self.vecs[:, :, None] * u[self.rows, None, :]
 
-    def subset(self, idx):
-        return RowVectorSet(self.rows[idx], self.vecs[idx], self.d_r, self.d_c)
 
-
+@dataclass(eq=False)
 class DenseSet(MeasurementSet):
-    def __init__(self, mats):
-        self.mats = np.asarray(mats, dtype=float)
+    mats: np.ndarray
+    d_r: int = field(init=False)
+    d_c: int = field(init=False)
+
+    def __post_init__(self):
+        self.mats = np.asarray(self.mats, dtype=float)
         if self.mats.ndim != 3:
             raise ValueError("mats must have shape (n, d_r, d_c)")
         self.d_r, self.d_c = self.mats.shape[1], self.mats.shape[2]
-
-    def __len__(self):
-        return self.mats.shape[0]
 
     def apply(self, b):
         b = self._check_b(b)
@@ -211,20 +227,20 @@ class DenseSet(MeasurementSet):
     def xi_t_dot(self, u):
         return np.einsum("nij,ik->njk", self.mats, u)
 
-    def subset(self, idx):
-        return DenseSet(self.mats[idx])
 
-
+@dataclass(eq=False)
 class RankOneSet(MeasurementSet):
-    def __init__(self, us, vs):
-        self.us = np.asarray(us, dtype=float)
-        self.vs = np.asarray(vs, dtype=float)
+    us: np.ndarray
+    vs: np.ndarray
+    d_r: int = field(init=False)
+    d_c: int = field(init=False)
+
+    def __post_init__(self):
+        self.us = np.asarray(self.us, dtype=float)
+        self.vs = np.asarray(self.vs, dtype=float)
         if self.us.ndim != 2 or self.vs.ndim != 2 or len(self.us) != len(self.vs):
             raise ValueError("us, vs must be (n, d_r) and (n, d_c)")
         self.d_r, self.d_c = self.us.shape[1], self.vs.shape[1]
-
-    def __len__(self):
-        return self.us.shape[0]
 
     def apply(self, b):
         b = self._check_b(b)
@@ -239,10 +255,6 @@ class RankOneSet(MeasurementSet):
 
     def xi_t_dot(self, u):
         return self.vs[:, :, None] * (self.us @ u)[:, None, :]
-
-    def subset(self, idx):
-        return RankOneSet(self.us[idx], self.vs[idx])
-
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +291,9 @@ class _EnsembleBase:
     def shape(self) -> tuple[int, int]:
         return (self.d_r, self.d_c)
 
-    # subclasses: kind tag used by the dataset cache format
+    # subclasses: kind tag of the dataset cache format; set type sample_batch draws
     kind: str = field(default="", init=False, repr=False)
+    set_type = MeasurementSet
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> MeasurementSet:
         raise NotImplementedError
@@ -312,6 +325,7 @@ class MatrixCompletion(_EnsembleBase):
     plain_entries: bool = False
 
     kind = "matrix_completion"
+    set_type = EntrySet
 
     def __post_init__(self):
         super().__post_init__()
@@ -353,6 +367,7 @@ class MultiTask(_EnsembleBase):
     """Uniformly random row index with a N(0, d_c * I) feature row."""
 
     kind = "multi_task"
+    set_type = RowVectorSet
 
     def sample_batch(self, n, rng):
         rows = rng.integers(0, self.d_r, size=n)
@@ -375,6 +390,7 @@ class GaussianEnsemble(_EnsembleBase):
     """Dense iid standard normal measurement matrices."""
 
     kind = "gaussian_ensemble"
+    set_type = DenseSet
 
     def sample_batch(self, n, rng):
         return DenseSet(rng.standard_normal((n, self.d_r, self.d_c)))
@@ -397,6 +413,7 @@ class FactoredMeasurement(_EnsembleBase):
     factor vectors."""
 
     kind = "factored_measurement"
+    set_type = RankOneSet
 
     def sample_batch(self, n, rng):
         us = rng.standard_normal((n, self.d_r))
@@ -439,6 +456,11 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
+        spec, ms = self.spec, self.measurements
+        if not isinstance(ms, spec.set_type):
+            raise ValueError(f"{spec.kind} needs {spec.set_type.__name__} measurements, got {type(ms).__name__}")
+        if ms.shape != spec.shape:
+            raise ValueError(f"measurement shape {ms.shape} does not match spec {spec.shape}")
         y = np.asarray(self.y)
         if y.shape != (len(self.measurements),):
             raise ValueError(f"y has shape {y.shape}, expected ({len(self.measurements)},)")
@@ -481,16 +503,14 @@ def generate_dataset(spec: EnsembleSpec, b_star, n: int, sigma: float, seed: int
     return Dataset(spec=spec, measurements=ms, y=y, noise_sigma=float(sigma), seed=int(seed))
 
 
-def sample_inner_products(
-    spec: EnsembleSpec, b, m: int, rng: np.random.Generator, chunk: int = 100_000
-) -> np.ndarray:
-    """Monte Carlo draws of <X, b> under the ensemble, computed in chunks
-    so dense ensembles never materialize all m measurement matrices."""
+def sample_inner_products(spec: EnsembleSpec, b, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Monte Carlo draws of <X, b> under the ensemble, computed in chunks of
+    100,000 so dense ensembles never materialize all m measurement matrices."""
     b = np.asarray(b, dtype=float)
     out = np.empty(m)
     done = 0
     while done < m:
-        take = min(chunk, m - done)
+        take = min(100_000, m - done)
         ms = spec.sample_batch(take, rng)
         out[done : done + take] = ms.apply(b)
         done += take
@@ -501,15 +521,15 @@ def sample_inner_products(
 # Dataset cache format
 # ---------------------------------------------------------------------------
 #
-# Datasets serialize to a single .npz archive with a documented flat
-# schema: "kind" (ensemble tag), "dims" = [d_r, d_c], "n", "seed",
-# "sigma", "y", ensemble options ("xi_mode", "plain_entries" for matrix
-# completion), and the measurement arrays for the stored kind
-# ("rows"/"cols"/"scales", "rows"/"vecs", "mats", or "us"/"vs").
+# Datasets serialize to a single .npz archive with a flat schema: "kind"
+# (ensemble tag), "dims" = [d_r, d_c], "n", "seed", "sigma", "y", then
+# the ensemble's option fields and its set type's array fields, each
+# under its field name.  The kind alone picks the ensemble and the set
+# type, so a file must hold that type's arrays, shaped to match "dims".
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    spec = ds.spec
+    spec, ms = ds.spec, ds.measurements
     payload: dict = {
         "kind": np.array(spec.kind),
         "dims": np.array([spec.d_r, spec.d_c], dtype=np.int64),
@@ -518,48 +538,29 @@ def save_dataset(ds: Dataset, path) -> None:
         "sigma": np.array(ds.noise_sigma),
         "y": ds.y,
     }
-    if isinstance(spec, MatrixCompletion):
-        payload["xi_mode"] = np.array(spec.xi_mode)
-        payload["plain_entries"] = np.array(spec.plain_entries)
-    ms = ds.measurements
-    if isinstance(ms, EntrySet):
-        payload.update(rows=ms.rows, cols=ms.cols, scales=ms.scales)
-    elif isinstance(ms, RowVectorSet):
-        payload.update(rows=ms.rows, vecs=ms.vecs)
-    elif isinstance(ms, DenseSet):
-        payload.update(mats=ms.mats)
-    elif isinstance(ms, RankOneSet):
-        payload.update(us=ms.us, vs=ms.vs)
-    else:
-        raise TypeError(f"cannot serialize measurement set {type(ms).__name__}")
+    payload.update((name, np.array(getattr(spec, name))) for name in _declared(type(spec)))
+    payload.update((name, getattr(ms, name)) for name in _declared(type(ms)))
     np.savez(path, **payload)
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset written by :func:`save_dataset`; raises ValueError
+    for an unknown kind, a missing field, or arrays that do not fit the
+    kind's set type or its dims."""
     with np.load(path) as z:
-        kind = str(z["kind"])
+
+        def read(name: str) -> np.ndarray:
+            if name not in z.files:
+                raise ValueError(f"{path}: missing field {name!r}")
+            return z[name]
+
+        kind = str(read("kind"))
         if kind not in ENSEMBLES:
             raise ValueError(f"{path}: unknown ensemble kind {kind!r}")
-        d_r, d_c = (int(v) for v in z["dims"])
         cls = ENSEMBLES[kind]
-        if cls is MatrixCompletion:
-            spec: EnsembleSpec = MatrixCompletion(
-                d_r, d_c, xi_mode=str(z["xi_mode"]), plain_entries=bool(z["plain_entries"])
-            )
-        else:
-            spec = cls(d_r, d_c)
-        if "scales" in z:
-            ms: MeasurementSet = EntrySet(z["rows"], z["cols"], z["scales"], d_r, d_c)
-        elif "vecs" in z:
-            ms = RowVectorSet(z["rows"], z["vecs"], d_r, d_c)
-        elif "mats" in z:
-            ms = DenseSet(z["mats"])
-        else:
-            ms = RankOneSet(z["us"], z["vs"])
-        return Dataset(
-            spec=spec,
-            measurements=ms,
-            y=np.array(z["y"]),
-            noise_sigma=float(z["sigma"]),
-            seed=int(z["seed"]),
-        )
+        d_r, d_c = (int(v) for v in read("dims"))
+        spec = cls(d_r, d_c, **{name: read(name).item() for name in _declared(cls)})
+        dims = {"d_r": d_r, "d_c": d_c}
+        init = [f.name for f in fields(cls.set_type) if f.init]
+        ms = cls.set_type(**{name: dims[name] if name in dims else read(name) for name in init})
+        return Dataset(spec, ms, read("y"), float(read("sigma")), int(read("seed")))

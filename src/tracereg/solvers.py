@@ -61,15 +61,12 @@ class SolverConfig:
     rel_obj_tol: float = 1e-8
     step: float | None = None
     backtracking: bool = True
-    bt_shrink: float = 0.5
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not 0.0 < self.rel_obj_tol < 1.0:
             raise ValueError("rel_obj_tol must lie in (0, 1)")
-        if not 0.0 < self.bt_shrink < 1.0:
-            raise ValueError("bt_shrink must lie in (0, 1)")
         if self.step is not None and self.step <= 0:
             raise ValueError("step must be positive")
 
@@ -117,23 +114,22 @@ def lambda_max(ds: Dataset) -> float:
     return 2.0 / ds.n * operator_norm(ds.measurements.adjoint(ds.y))
 
 
-# power-iteration results per measurement set, keyed by iteration count;
-# entries vanish with their set
-_LIPSCHITZ_MEMO: weakref.WeakKeyDictionary[MeasurementSet, dict[int, float]] = weakref.WeakKeyDictionary()
+# power-iteration results per measurement set; entries vanish with their set
+_LIPSCHITZ_MEMO: weakref.WeakKeyDictionary[MeasurementSet, float] = weakref.WeakKeyDictionary()
 
 
-def lipschitz_estimate(ds: Dataset, iters: int = 20) -> float:
+def lipschitz_estimate(ds: Dataset) -> float:
     """Power-iteration estimate of the Lipschitz constant of the smooth
     part's gradient, i.e. the largest eigenvalue of b -> (2/n) X*(X(b)).
 
     The estimate depends only on the measurements, so it is computed once
-    per MeasurementSet object and iteration count and then reused: every
-    lam solved on one training set shares one power iteration.
+    per MeasurementSet object and then reused: every lam solved on one
+    training set shares one power iteration.
     """
-    memo = _LIPSCHITZ_MEMO.setdefault(ds.measurements, {})
-    if iters not in memo:
-        memo[iters] = _power_iteration(ds.measurements, iters)
-    return memo[iters]
+    ms = ds.measurements
+    if ms not in _LIPSCHITZ_MEMO:
+        _LIPSCHITZ_MEMO[ms] = _power_iteration(ms, 20)
+    return _LIPSCHITZ_MEMO[ms]
 
 
 def _power_iteration(ms: MeasurementSet, iters: int) -> float:
@@ -196,7 +192,7 @@ def _apg(ds: Dataset, lam: float, cfg: SolverConfig, x0: np.ndarray | None):
             t = 1.0
             z, xz, fz = _landed(ds, lam, *(yield _prox_input(ds, lam, x, xx, step)))
             while cfg.backtracking and fz > fx and step > 1e-18:
-                step *= cfg.bt_shrink
+                step *= 0.5
                 z, xz, fz = _landed(ds, lam, *(yield _prox_input(ds, lam, x, xx, step)))
             if fz > fx:
                 # no descent direction left at working precision

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tracereg import (
     Dataset,
@@ -49,6 +51,13 @@ def stub_path(b_hat: np.ndarray):
     return path
 
 
+@st.composite
+def fold_cases(draw):
+    """(n, k) with 2 <= k <= n <= 200."""
+    n = draw(st.integers(2, 200))
+    return n, draw(st.integers(2, n))
+
+
 class TestMakeFolds:
     def test_even_split(self):
         plan = make_folds(10, 5, stream(0))
@@ -58,14 +67,22 @@ class TestMakeFolds:
         plan = make_folds(11, 5, stream(1))
         assert sorted(plan.sizes()) == [2, 2, 2, 2, 3]
 
-    @pytest.mark.parametrize("n,k", [(7, 2), (23, 5), (40, 8), (9, 9)])
-    def test_partition_properties(self, n, k):
-        plan = make_folds(n, k, stream(2))
-        all_idx = np.concatenate([plan.indices(f) for f in range(k)])
-        assert sorted(all_idx.tolist()) == list(range(n))
-        for f in range(k):
-            assert set(plan.indices(f)).isdisjoint(plan.complement(f))
-            assert len(plan.indices(f)) >= n / (2 * k)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=fold_cases(), seed=st.integers(0, 2**63 - 1))
+    @example(case=(7, 2), seed=2)
+    @example(case=(23, 5), seed=2)
+    @example(case=(40, 8), seed=2)
+    @example(case=(9, 9), seed=2)
+    def test_partition_properties(self, case, seed):
+        n, k = case
+        plan = make_folds(n, k, stream(seed))
+        folds = [plan.indices(f) for f in range(k)]
+        assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
+        sizes = [len(fold) for fold in folds]
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= n / (2 * k)
+        for f, fold in enumerate(folds):
+            assert np.array_equal(plan.complement(f), np.setdiff1d(np.arange(n), fold))
+        assert np.array_equal(make_folds(n, k, stream(seed)).assignments, plan.assignments)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -54,6 +55,16 @@ class TestConfig:
             ExperimentConfig(estimators=("bogus",)).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="exact_recovery", sigma=1.0).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(sigma=float("nan")), dict(sigma=float("inf")), dict(multiplier=float("nan")),
+         dict(multiplier=float("-inf")), dict(n_grid=(0, 10)), dict(n_grid=(-5,))],
+        ids=["sigma-nan", "sigma-inf", "multiplier-nan", "multiplier-neg-inf", "n-zero", "n-negative"],
+    )
+    def test_rejects_non_finite_scales_and_non_positive_sizes(self, overrides):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**overrides).validate()
 
     def test_paper_scale_restores_protocol(self):
         cfg = ExperimentConfig(paper_scale=True).validate()
@@ -357,6 +368,30 @@ class TestCli:
         assert main(["figure1", "--n", "100,x", "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == ["config error: cannot parse n_grid='100,x'"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sigma", "nan"], "sigma must be finite and non-negative, got nan"),
+            (["--multiplier", "nan"], "multiplier must be finite, got nan"),
+            (["--n", "0"], "n_grid must be non-empty, positive and strictly increasing, got (0,)"),
+        ],
+        ids=["sigma-nan", "multiplier-nan", "n-zero"],
+    )
+    def test_non_finite_or_non_positive_value_exits_2_with_one_line(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        argv = ["calibration", "--d", "6", "--n", "50", "--sigma", "0.5", "--calib-reps", "20", *flags]
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
+    def test_subcommands_and_estimator_help_follow_the_library_lists(self):
+        parser = cli.build_parser()
+        (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+        assert list(sub.choices) == [name.replace("_", "-") for name in experiments.EXPERIMENTS]
+        for command, subparser in sub.choices.items():
+            assert cli.resolve_config(parser.parse_args([command])).experiment == command.replace("-", "_")
+            assert f"subset of {','.join(experiments.ALL_ESTIMATORS)}" in " ".join(subparser.format_help().split())
 
     def test_every_flag_reaches_the_config(self, tmp_path):
         args = cli.build_parser().parse_args(

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from tracereg import (
     ENSEMBLES,
     Dataset,
+    DenseSet,
     EntrySet,
     FactoredMeasurement,
     GaussianEnsemble,
@@ -31,6 +34,24 @@ ALL_SPECS = [
     GaussianEnsemble(6, 6),
     FactoredMeasurement(6, 6),
 ]
+
+FIXTURES = Path(__file__).parent / "data"
+
+
+def fixture_dataset(kind: str) -> Dataset:
+    """The dataset stored in data/dataset_<kind>.npz.  Those files were
+    written by save_dataset at commit 46c9717, before the set types became
+    dataclasses, and pin the file format across that change."""
+    cls = ENSEMBLES[kind]
+    spec = cls(3, 4, xi_mode="deterministic_d", plain_entries=True) if cls is MatrixCompletion else cls(3, 4)
+    return generate_dataset(spec, generate_ground_truth(3, 4, 2, stream(60)), 6, 0.25, seed=61)
+
+
+def edit_saved(path, drop=(), **values) -> None:
+    """Rewrite a saved dataset with keys ``drop`` removed and ``values`` set."""
+    with np.load(path) as z:
+        payload = {key: z[key] for key in z.files if key not in drop}
+    np.savez(path, **{**payload, **values})
 
 
 class TestSampleMeasurement:
@@ -369,6 +390,67 @@ class TestSerialization:
         assert np.allclose(sub.measurements.apply(b), ds.measurements.apply(b)[idx])
 
 
+class TestFileFormat:
+    @pytest.mark.parametrize("kind", list(ENSEMBLES))
+    def test_file_written_before_the_dataclass_sets_loads_equal(self, kind):
+        back, ds = load_dataset(FIXTURES / f"dataset_{kind}.npz"), fixture_dataset(kind)
+        assert back.spec == ds.spec and type(back.measurements) is type(ds.measurements)
+        assert (back.seed, back.noise_sigma, back.measurements.shape) == (ds.seed, ds.noise_sigma, ds.spec.shape)
+        assert back.y.dtype == ds.y.dtype and np.array_equal(back.y, ds.y)
+        new, old = (
+            {key: val for key, val in vars(data.measurements).items() if isinstance(val, np.ndarray)}
+            for data in (back, ds)
+        )
+        assert old and set(new) == set(old)
+        for key, val in old.items():
+            assert new[key].dtype == val.dtype and np.array_equal(new[key], val), key
+
+    @pytest.mark.parametrize("kind", list(ENSEMBLES))
+    def test_save_writes_the_keys_dtypes_and_values_of_that_file(self, kind, tmp_path):
+        save_dataset(fixture_dataset(kind), tmp_path / "ds.npz")
+        with np.load(FIXTURES / f"dataset_{kind}.npz") as old, np.load(tmp_path / "ds.npz") as new:
+            assert new.files == old.files
+            for key in old.files:
+                assert new[key].dtype == old[key].dtype and np.array_equal(new[key], old[key]), key
+
+    @pytest.mark.parametrize(
+        "kind, dims",
+        [("gaussian_ensemble", [4, 3]), ("gaussian_ensemble", [3, 3]), ("factored_measurement", [4, 3]),
+         ("multi_task", [3, 5])],
+    )
+    def test_dims_that_do_not_fit_the_arrays_are_rejected(self, kind, dims, tmp_path):
+        path = tmp_path / "ds.npz"
+        save_dataset(fixture_dataset(kind), path)
+        edit_saved(path, dims=np.array(dims, dtype=np.int64))
+        with pytest.raises(ValueError, match="shape"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "source, kind, missing",
+        [("gaussian_ensemble", "matrix_completion", "rows"), ("matrix_completion", "gaussian_ensemble", "mats"),
+         ("factored_measurement", "multi_task", "rows"), ("multi_task", "factored_measurement", "us")],
+    )
+    def test_arrays_of_another_set_type_are_rejected(self, source, kind, missing, tmp_path):
+        path = tmp_path / "ds.npz"
+        save_dataset(fixture_dataset(source), path)
+        edit_saved(path, kind=np.array(kind), xi_mode=np.array("gaussian_var_d2"), plain_entries=np.array(False))
+        with pytest.raises(ValueError, match=f"missing field '{missing}'"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("multi_task", "y"), ("matrix_completion", "scales"), ("matrix_completion", "xi_mode"),
+         ("factored_measurement", "vs"), ("gaussian_ensemble", "dims"), ("gaussian_ensemble", "sigma"),
+         ("gaussian_ensemble", "kind")],
+    )
+    def test_missing_field_is_named(self, kind, key, tmp_path):
+        path = tmp_path / "ds.npz"
+        save_dataset(fixture_dataset(kind), path)
+        edit_saved(path, drop=(key,))
+        with pytest.raises(ValueError, match=f"missing field '{key}'"):
+            load_dataset(path)
+
+
 def corrupt_saved_indices(path, key: str, value: int) -> None:
     """Overwrite the first stored index ``key`` of a saved dataset."""
     with np.load(path) as z:
@@ -408,6 +490,20 @@ class TestIndexBounds:
             load_dataset(path)
 
 
+class TestSetDeclaration:
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_sample_batch_draws_the_declared_set_type(self, spec):
+        assert type(spec.sample_batch(4, stream(5))) is spec.set_type
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_subset_of_every_set_type(self, spec):
+        ms = spec.sample_batch(12, stream(40))
+        idx = np.array([9, 2, 2, 5])
+        sub = ms.subset(idx)
+        assert type(sub) is type(ms) and sub.shape == ms.shape and len(sub) == 4
+        assert np.array_equal(sub.densify(), ms.densify()[idx])
+
+
 class TestDatasetValidation:
     def make(self, y):
         ms = EntrySet([0, 1, 2], [0, 1, 2], np.ones(3), 3, 3)
@@ -422,3 +518,30 @@ class TestDatasetValidation:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             self.make([1.0, bad, 3.0])
+
+    @pytest.mark.parametrize(
+        "spec, ms",
+        [
+            (MatrixCompletion(3, 3), DenseSet(np.ones((3, 3, 3)))),
+            (GaussianEnsemble(3, 3), EntrySet([0], [0], [1.0], 3, 3)),
+            (MultiTask(3, 3), EntrySet([0], [0], [1.0], 3, 3)),
+            (FactoredMeasurement(3, 3), DenseSet(np.ones((1, 3, 3)))),
+        ],
+        ids=["entry-spec-dense-set", "dense-spec-entry-set", "row-spec-entry-set", "rank-one-spec-dense-set"],
+    )
+    def test_rejects_a_set_of_another_type(self, spec, ms):
+        with pytest.raises(ValueError, match=f"needs {spec.set_type.__name__} measurements, got {type(ms).__name__}"):
+            Dataset(spec, ms, np.ones(len(ms)), 0.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "spec, ms",
+        [
+            (MatrixCompletion(3, 3), EntrySet([0], [3], [1.0], 3, 4)),
+            (GaussianEnsemble(3, 3), DenseSet(np.ones((2, 4, 4)))),
+            (MultiTask(3, 4), RowVectorSet([0], np.ones((1, 4)), 4, 4)),
+        ],
+        ids=["entry", "dense-4x4-under-3x3", "row-vector"],
+    )
+    def test_rejects_a_set_of_another_shape(self, spec, ms):
+        with pytest.raises(ValueError, match="does not match spec"):
+            Dataset(spec, ms, np.ones(len(ms)), 0.0, seed=0)
