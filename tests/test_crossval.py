@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracereg import (
@@ -67,14 +67,8 @@ class TestMakeFolds:
         plan = make_folds(11, 5, stream(1))
         assert sorted(plan.sizes()) == [2, 2, 2, 2, 3]
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(case=fold_cases(), seed=st.integers(0, 2**63 - 1))
-    @example(case=(7, 2), seed=2)
-    @example(case=(23, 5), seed=2)
-    @example(case=(40, 8), seed=2)
-    @example(case=(9, 9), seed=2)
-    def test_partition_properties(self, case, seed):
-        n, k = case
+    @staticmethod
+    def check_partition(n, k, seed):
         plan = make_folds(n, k, stream(seed))
         folds = [plan.indices(f) for f in range(k)]
         assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
@@ -83,6 +77,15 @@ class TestMakeFolds:
         for f, fold in enumerate(folds):
             assert np.array_equal(plan.complement(f), np.setdiff1d(np.arange(n), fold))
         assert np.array_equal(make_folds(n, k, stream(seed)).assignments, plan.assignments)
+
+    @pytest.mark.parametrize("n,k", [(7, 2), (23, 5), (40, 8), (9, 9)])
+    def test_partition_properties(self, n, k):
+        self.check_partition(n, k, 2)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=fold_cases(), seed=st.integers(0, 2**63 - 1))
+    def test_partition_properties_any_split(self, case, seed):
+        self.check_partition(*case, seed)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
