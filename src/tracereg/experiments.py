@@ -23,7 +23,7 @@ from .crossval import cv_select, lambda_grid, make_folds
 from .rng import stream
 from .sampling import ENSEMBLES, Dataset, EnsembleSpec, MatrixCompletion, generate_dataset, generate_ground_truth
 from .solvers import SolverConfig, lambda_max, solve_convex, solve_noiseless, solve_path
-from .theory import calibrate_lambda0, rsc_probe
+from .theory import _noise_quantile, calibrate_lambda0, rsc_probe
 
 __all__ = [
     "ConfigError",
@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ConfigError(f"sigma must be finite and non-negative, got {cfg.sigma}")
         if not math.isfinite(cfg.multiplier):
             raise ConfigError(f"multiplier must be finite, got {cfg.multiplier}")
+        if cfg.multiplier <= 0:
+            raise ConfigError(f"multiplier must be positive, got {cfg.multiplier}")
         unknown = set(cfg.estimators) - set(ALL_ESTIMATORS)
         if unknown:
             raise ConfigError(f"unknown estimators: {sorted(unknown)}")
@@ -151,7 +153,9 @@ def make_ensemble(cfg: ExperimentConfig) -> EnsembleSpec:
 # Version of the calibration-cache key.  Bump it whenever a change moves
 # the computed quantiles, even in the last bits (version 2: operator norms
 # from the Gram matrix), so a stale file is never read in place of a fresh
-# run and records.csv stays identical to a clean run.
+# run and records.csv stays identical to a clean run.  The screened
+# quantile (theory._noise_quantile) equals calibrate_lambda0's bit for bit,
+# so files written by either are the same version.
 _CALIB_FORMAT = 2
 
 
@@ -167,9 +171,9 @@ def _calibration_quantile(cfg: ExperimentConfig, spec: EnsembleSpec, n: int) -> 
     if cached is not None:
         return cached
     rng = stream(child_seed(cfg.seed, "calibration", n))
-    report = calibrate_lambda0(spec, n, cfg.sigma, 1.0, cfg.calib_reps, cfg.calib_quantile, rng)
+    value = _noise_quantile(spec, n, cfg.sigma, cfg.calib_reps, cfg.calib_quantile, rng)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    payload = {"quantile_value": report.lambda0, "reps": cfg.calib_reps, "quantile": cfg.calib_quantile}
+    payload = {"quantile_value": value, "reps": cfg.calib_reps, "quantile": cfg.calib_quantile}
     # write beside the target, then rename over it, so an interrupted run
     # never leaves a truncated cache file behind
     fd, tmp = tempfile.mkstemp(dir=cfg.out_dir, prefix=key + ".", suffix=".tmp")
@@ -180,7 +184,7 @@ def _calibration_quantile(cfg: ExperimentConfig, spec: EnsembleSpec, n: int) -> 
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return report.lambda0
+    return value
 
 
 def _read_cached_quantile(path: str) -> float | None:

@@ -219,7 +219,7 @@ class DenseSet(MeasurementSet):
 
     def adjoint(self, w):
         w = self._check_w(w)
-        return np.tensordot(w, self.mats, axes=1)
+        return (w @ self.mats.reshape(len(self), -1)).reshape(self.d_r, self.d_c)
 
     def xi_dot(self, v):
         return self.mats @ v

@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -6,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tracereg import cli, experiments, solvers
+from tracereg import calibrate_lambda0, cli, experiments, solvers, stream
 from tracereg.cli import load_config_file, main
 from tracereg.crossval import lambda_grid
 from tracereg.experiments import (
@@ -59,8 +60,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "overrides",
         [dict(sigma=float("nan")), dict(sigma=float("inf")), dict(multiplier=float("nan")),
-         dict(multiplier=float("-inf")), dict(n_grid=(0, 10)), dict(n_grid=(-5,))],
-        ids=["sigma-nan", "sigma-inf", "multiplier-nan", "multiplier-neg-inf", "n-zero", "n-negative"],
+         dict(multiplier=float("-inf")), dict(n_grid=(0, 10)), dict(n_grid=(-5,)), dict(multiplier=0.0),
+         dict(multiplier=-1.0)],
+        ids=["sigma-nan", "sigma-inf", "multiplier-nan", "multiplier-neg-inf", "n-zero", "n-negative",
+             "multiplier-zero", "multiplier-negative"],
     )
     def test_rejects_non_finite_scales_and_non_positive_sizes(self, overrides):
         with pytest.raises(ConfigError):
@@ -134,6 +137,28 @@ class TestRunFigure1:
         assert (stale / "records.csv").read_bytes() == (clean / "records.csv").read_bytes()
         assert (stale / cache.name).read_bytes() == cache.read_bytes()
         assert old.read_text() == '{"quantile_value": 123.0, "reps": 40, "quantile": 0.9}'
+
+    def test_cache_from_the_full_calibration_is_read_unchanged(self, tmp_path, monkeypatch):
+        # version-2 files hold calibrate_lambda0's quantile; the screened
+        # quantile writes the same bytes, so such files stay valid
+        argv = ["figure1", "--d", "10", "--r", "1", "--n", "120", "--replicates", "1", "--k-folds", "3",
+                "--seed", "4", "--calib-reps", "40", "--estimators", "theory1,oracle"]
+        clean, kept = tmp_path / "clean", tmp_path / "kept"
+        assert main(argv + ["--out-dir", str(clean)]) == 0
+        (cache,) = clean.glob("calib_v2_*.json")
+        spec = MatrixCompletion(10, 10, plain_entries=True)
+        full = calibrate_lambda0(spec, 120, 1.0, 1.0, 40, 0.9, stream(child_seed(4, "calibration", 120)))
+        payload = json.dumps({"quantile_value": full.lambda0, "reps": 40, "quantile": 0.9})
+        assert cache.read_text() == payload
+
+        def no_recompute(*args):
+            raise AssertionError("the cached quantile was not read")
+
+        kept.mkdir()
+        (kept / cache.name).write_text(payload)
+        monkeypatch.setattr(experiments, "_noise_quantile", no_recompute)
+        assert main(argv + ["--out-dir", str(kept)]) == 0
+        assert (kept / "records.csv").read_bytes() == (clean / "records.csv").read_bytes()
 
     def test_one_lambda_max_per_replicate_and_grids_unchanged(self, tmp_path, monkeypatch):
         cfg = small_fig1_cfg(tmp_path, replicates=2)
@@ -383,6 +408,15 @@ class TestCli:
         argv = ["calibration", "--d", "6", "--n", "50", "--sigma", "0.5", "--calib-reps", "20", *flags]
         assert main([*argv, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("command", ["calibration", "rsc-probe"])
+    def test_non_positive_multiplier_exits_2_with_one_line(self, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        argv = [command, "--d", "6", "--n", "50", "--sigma", "1", "--calib-reps", "20", "--multiplier", value]
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: multiplier must be positive, got {float(value)}"]
         assert not out.exists()
 
     def test_subcommands_and_estimator_help_follow_the_library_lists(self):

@@ -14,7 +14,7 @@ from tracereg import (
     svd,
     trace_inner,
 )
-from tracereg.linalg import SvdFactors, _soft_threshold_stack
+from tracereg.linalg import SvdFactors, _operator_norm_below, _soft_threshold_stack
 
 
 class TestTraceInner:
@@ -255,6 +255,16 @@ class TestGramKernelAccuracy:
     @given(m=_spectral_matrices())
     def test_operator_norm_matches_two_norm(self, m):
         assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0.0)
+
+    @_KERNEL_SETTINGS
+    @given(m=_spectral_matrices(), log_gap=st.floats(-6.0, 0.0), above=st.booleans())
+    def test_operator_norm_below_is_a_certificate(self, m, log_gap, above):
+        # the margin is 1e-8 relative at these sizes: a bound 1e-6 or more
+        # above the norm is certified, one at or below it never is
+        norm = operator_norm(m)
+        bound = norm * (1.0 + 10.0**log_gap if above else 1.0 - 10.0**log_gap)
+        assert _operator_norm_below(m, bound) == (above and norm > 0.0)
+        assert not _operator_norm_below(m, norm)
 
     @_KERNEL_SETTINGS
     @given(m=_spectral_matrices(), log_ratio=st.floats(-0.5, 3.0))

@@ -130,6 +130,15 @@ class TestAdjoint:
         rhs = float(w @ ms.apply(b))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("n, d_r, d_c", [(1, 4, 3), (6, 1, 5), (6, 5, 1), (1, 1, 1), (7, 3, 8), (600, 30, 30)])
+    def test_dense_adjoint_is_the_tensordot_bit_for_bit(self, n, d_r, d_c):
+        rng = stream(14)
+        for _ in range(3):
+            mats, w = rng.standard_normal((n, d_r, d_c)), rng.standard_normal(n)
+            out = DenseSet(mats).adjoint(w)
+            assert out.shape == (d_r, d_c)
+            assert np.array_equal(out, np.tensordot(w, mats, axes=1))
+
     def test_length_mismatch(self):
         ms = MultiTask(3, 3).sample_batch(5, stream(13))
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tracereg import (
     FactoredMeasurement,
@@ -23,8 +25,10 @@ from tracereg import (
     rsc_probe,
     sample_constraint_set,
     stream,
+    theory,
     truncation_constant,
 )
+from tracereg.sampling import ENSEMBLES
 
 
 class TestCalibrateLambda0:
@@ -67,6 +71,51 @@ class TestCalibrateLambda0:
     def test_too_few_reps(self):
         with pytest.raises(ValueError):
             calibrate_lambda0(GaussianEnsemble(4, 4), 10, 1.0, 3.0, 5, 0.9, stream(6))
+
+
+class TestNoiseQuantile:
+    """``_noise_quantile`` screens draws with a certificate instead of taking
+    every operator norm; it must return the full calibration's quantile bit
+    for bit and consume the stream identically."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(sorted(ENSEMBLES)),
+        d_r=st.integers(1, 7),
+        d_c=st.integers(1, 7),
+        n=st.integers(1, 80),
+        sigma=st.sampled_from([0.0, 0.3, 1.0]),
+        reps=st.integers(10, 60),
+        quantile=st.sampled_from([0.01, 0.5, 0.9, 0.97]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="matrix_completion", d_r=3, d_c=6, n=40, sigma=0.0, reps=10, quantile=0.9, seed=0)
+    # k = ceil(0.99 * 10) = reps: the heap fills only with the last draw
+    @example(kind="multi_task", d_r=6, d_c=3, n=40, sigma=1.0, reps=10, quantile=0.01, seed=1)
+    def test_equals_full_calibration_and_leaves_same_stream(self, kind, d_r, d_c, n, sigma, reps, quantile, seed):
+        spec = ENSEMBLES[kind](d_r, d_c)
+        full_rng, screened_rng = stream(seed), stream(seed)
+        full = calibrate_lambda0(spec, n, sigma, 1.0, reps, quantile, full_rng).lambda0
+        assert theory._noise_quantile(spec, n, sigma, reps, quantile, screened_rng) == full
+        np.testing.assert_equal(screened_rng.bit_generator.state, full_rng.bit_generator.state)
+
+    def test_fewer_than_half_the_draws_reach_the_eigensolver(self, monkeypatch):
+        calls = []
+        real = theory.operator_norm
+
+        def counting(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(theory, "operator_norm", counting)
+        spec = MatrixCompletion(30, 30, plain_entries=True)
+        theory._noise_quantile(spec, 1000, 1.0, 100, 0.9, stream(3))
+        assert 10 <= len(calls) < 50
+
+    @pytest.mark.parametrize("reps, quantile", [(9, 0.9), (20, 0.0), (20, 1.0)])
+    def test_rejects_what_calibrate_lambda0_rejects(self, reps, quantile):
+        with pytest.raises(ValueError):
+            theory._noise_quantile(GaussianEnsemble(3, 3), 10, 1.0, reps, quantile, stream(0))
 
 
 class TestRademacherSketch:
