@@ -20,9 +20,10 @@ the stacked Gram matrices, then per matrix the same truncated product as
 ``soft_threshold``, which it matches bit for bit.
 
 Calibration screens its noise draws with the private
-``_operator_norm_below``: a Cholesky factorization of the shifted Gram
-matrix certifies that the operator norm lies below a bound, without the
-eigenvalue solve.
+``_operator_norm_unless_below``: a Cholesky factorization of the shifted
+Gram matrix certifies that the operator norm lies below a bound, without
+the eigenvalue solve; a draw it cannot certify takes that solve on the
+same Gram matrix.
 
 All routines are pure functions on 2-D float arrays and are safe to call
 concurrently.
@@ -118,8 +119,7 @@ def matrix_norm(m, kind: str, p: float | None = None, q: float | None = None) ->
     if kind == "operator":
         if min(m.shape) == 0:
             return 0.0
-        a, _ = _tall(m)
-        return float(np.sqrt(np.linalg.svd(a.T @ a, compute_uv=False, hermitian=True)[0]))
+        return _gram_norm(_gram(m))
     if kind == "linf":
         return float(np.max(np.abs(m))) if m.size else 0.0
     if kind == "l_pq":
@@ -136,31 +136,42 @@ def operator_norm(m) -> float:
     return matrix_norm(m, "operator")
 
 
-def _operator_norm_below(m, bound: float) -> bool:
-    """True only when ``operator_norm(m) < bound`` is certified; False
-    means "not certified", not "at or above bound".
+def _gram(m: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix a^T a of m, a = m or m^T (see ``_tall``)."""
+    a, _ = _tall(m)
+    return a.T @ a
+
+
+def _gram_norm(g: np.ndarray) -> float:
+    """Operator norm of a from its Gram matrix g = a^T a: the square root of
+    g's top eigenvalue (relative error a few eps)."""
+    return float(np.sqrt(np.linalg.svd(g, compute_uv=False, hermitian=True)[0]))
+
+
+def _operator_norm_unless_below(m, bound: float) -> float | None:
+    """None when ``operator_norm(m) < bound`` is certified, otherwise
+    ``operator_norm(m)`` itself, bit for bit; both from one Gram matrix.
 
     The certificate is a completed Cholesky factorization of
     bound^2 (1 - delta) I - a^T a, with a^T a the Gram matrix that
-    ``operator_norm`` forms, built in the Gram's own buffer.  The computed
-    factor is that of a matrix within the Cholesky backward error
-    (about d^2 eps bound^2 in norm, d = min(d_r, d_c)) of this one, so a
-    completed factorization puts the Gram's top eigenvalue below
-    bound^2 (1 - delta) plus that error; delta sits far above both it and
-    the eigensolver's error.  The Gram product plus the Cholesky cost under
-    half the eigenvalue solve of ``operator_norm`` at d = 200 (one thread).
+    ``operator_norm`` forms.  The computed factor is that of a matrix
+    within the Cholesky backward error (about d^2 eps bound^2 in norm,
+    d = min(d_r, d_c)) of this one, so a completed factorization puts the
+    Gram's top eigenvalue below bound^2 (1 - delta) plus that error; delta
+    sits far above both it and the eigensolver's error.  The Gram product
+    plus the Cholesky cost under half the eigenvalue solve at d = 200 (one
+    thread), and an uncertified matrix reuses its Gram for that solve.
     """
-    a, _ = _tall(_as_matrix(m))
-    g = a.T @ a
+    g = _gram(_as_matrix(m))
     d = g.shape[0]
     delta = max(1e-8, 16.0 * d * d * np.finfo(float).eps)
-    g *= -1.0
-    g.flat[:: d + 1] += bound * bound * (1.0 - delta)
+    shifted = -g
+    shifted.flat[:: d + 1] += bound * bound * (1.0 - delta)
     try:
-        np.linalg.cholesky(g)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return _gram_norm(g)
+    return None
 
 
 def svd(m) -> SvdFactors:

@@ -142,15 +142,17 @@ class EntrySet(MeasurementSet):
             raise ValueError("rows, cols, scales must have equal length")
         _check_indices("rows", self.rows, self.d_r)
         _check_indices("cols", self.cols, self.d_c)
+        # row-major flat index of each entry, shared by apply and adjoint;
+        # not a field, so len, subset and the file format ignore it
+        self._flat = self.rows * self.d_c + self.cols
 
     def apply(self, b):
         b = self._check_b(b)
-        return self.scales * b[self.rows, self.cols]
+        return self.scales * np.take(b.ravel(), self._flat)
 
     def adjoint(self, w):
         w = self._check_w(w)
-        flat = self.rows * self.d_c + self.cols
-        acc = np.bincount(flat, weights=w * self.scales, minlength=self.d_r * self.d_c)
+        acc = np.bincount(self._flat, weights=w * self.scales, minlength=self.d_r * self.d_c)
         return acc.reshape(self.d_r, self.d_c)
 
     def xi_dot(self, v):

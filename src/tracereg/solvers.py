@@ -1,9 +1,14 @@
 """Estimators for the penalized trace-regression loss.
 
 The convex route minimizes (1/n)||y - X(B)||^2 + lam*||B||_* by an
-accelerated proximal-gradient method with a monotone restart; the
-factored route alternates exact ridge solves over the two factors of
-B = U V^T.  Every solve returns an Estimate carrying its certificate
+accelerated proximal-gradient method with a monotone restart and an
+adaptive step: a proximal step is accepted only when the loss's
+quadratic model at its base point majorizes the loss at its output
+(checked from the operator images the iterates already carry, so at no
+operator call), is halved and retried from the same gradient otherwise,
+and grows by STEP_GROWTH after each iteration, so it may exceed 1/L.
+The factored route alternates exact ridge solves over the two factors
+of B = U V^T.  Every solve returns an Estimate carrying its certificate
 data, and ``check_goodness`` verifies a posteriori that an estimate's
 loss does not exceed the loss at the target matrix.
 
@@ -52,9 +57,13 @@ __all__ = [
 class SolverConfig:
     """Iteration controls shared by the solvers.
 
-    step=None estimates the gradient Lipschitz constant by power
-    iteration and uses its reciprocal; backtracking halves the step
-    whenever a restarted proximal step fails to descend.
+    The convex solver's first step is ``step``, or with step=None the
+    reciprocal of the power-iteration estimate of the gradient Lipschitz
+    constant.  With backtracking (the default) the step adapts: a
+    proximal step whose output the quadratic model at its base point
+    does not majorize is halved and retried from the same gradient, and
+    after each iteration the step grows by ``STEP_GROWTH``.
+    backtracking=False keeps the first step throughout.
     """
 
     max_iters: int = 5000
@@ -80,8 +89,10 @@ class Estimate:
     per-iteration (or per-sweep) internal objective values; ``residual``
     is the relative data-fit residual reported by the noiseless solver.
     ``stop_reason`` says why an iterative solve stopped: "rel_dec" (the
-    relative objective decrease fell below the tolerance), "stalled" (no
-    step size gave descent; convex route only) or "max_iters".
+    relative objective decrease fell below the tolerance), "stalled" (a
+    restarted proximal step from the best iterate did not descend; with
+    the adaptive step that step is majorized, so this happens only at
+    working precision; convex route only) or "max_iters".
     ``converged`` is True exactly when it is not "max_iters".  The
     noiseless solver, which judges convergence by its residual, leaves
     it None.
@@ -146,23 +157,41 @@ def _power_iteration(ms: MeasurementSet, iters: int) -> float:
     return float(lam)
 
 
-def _prox_input(ds: Dataset, lam: float, b: np.ndarray, xb: np.ndarray, step: float) -> tuple[np.ndarray, float]:
-    """Prox input (b - step * grad, lam * step) of the proximal-gradient
-    step from b, given xb = X(b); costs one adjoint."""
-    grad = ds.measurements.adjoint(xb - ds.y) * (2.0 / ds.n)
-    return b - step * grad, lam * step
-
-
-def _landed(ds: Dataset, lam: float, z: np.ndarray, shrunk: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(z, X(z), penalized loss at z) for a prox output z and its shrunk
-    singular values; costs one apply."""
-    xz = ds.measurements.apply(z)
-    return z, xz, _penalized_loss(ds, lam, xz, float(np.sum(shrunk)))
-
-
 def _penalized_loss(ds: Dataset, lam: float, xb: np.ndarray, nuclear: float) -> float:
     resid = ds.y - xb
     return float(resid @ resid / ds.n + lam * nuclear)
+
+
+# After each accepted APG iteration the adaptive step grows by this
+# factor, so it can climb past 1/L (the curvature bound over all
+# directions) and recover from a backtrack; 1/0.9 is the default of TFOCS
+# (Becker, Candes & Grant 2011).
+STEP_GROWTH = 1.0 / 0.9
+
+
+def _prox_step(ds: Dataset, lam: float, b: np.ndarray, xb: np.ndarray, step: float, adaptive: bool):
+    """One proximal-gradient step from b, given xb = X(b), as a
+    sub-generator of :func:`_apg`: it yields prox inputs (m, tau), is sent
+    back each prox output with its shrunk singular values, and returns
+    (z, X(z), penalized loss at z, the step taken).
+
+    The gradient at b costs one adjoint, each prox output one apply.
+    With ``adaptive`` the output z is accepted only when
+    (1/n)||X(z) - X(b)||^2 <= ||z - b||^2 / (2 step); for this quadratic
+    loss that is exactly f(z) <= f(b) + <grad f(b), z - b> + ||z - b||^2 / (2 step),
+    the majorization under which a proximal step descends.  Otherwise the
+    step halves and the prox is retried from the same gradient.  An output
+    equal to b moves nothing and is accepted as it is.
+    """
+    grad = ds.measurements.adjoint(xb - ds.y) * (2.0 / ds.n)
+    while True:
+        z, shrunk = yield b - step * grad, lam * step
+        xz = ds.measurements.apply(z)
+        gap, move = xz - xb, z - b
+        moved = float(np.vdot(move, move))
+        if not adaptive or moved == 0.0 or gap @ gap / ds.n <= moved / (2.0 * step):
+            return z, xz, _penalized_loss(ds, lam, xz, float(np.sum(shrunk))), step
+        step *= 0.5
 
 
 def _apg(ds: Dataset, lam: float, cfg: SolverConfig, x0: np.ndarray | None):
@@ -186,18 +215,18 @@ def _apg(ds: Dataset, lam: float, cfg: SolverConfig, x0: np.ndarray | None):
     stop_reason = "max_iters"
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
-        z, xz, fz = _landed(ds, lam, *(yield _prox_input(ds, lam, y, xy, step)))
+        z, xz, fz, step = yield from _prox_step(ds, lam, y, xy, step, cfg.backtracking)
         if fz > fx:
             # momentum overshot: restart from the best iterate
             t = 1.0
-            z, xz, fz = _landed(ds, lam, *(yield _prox_input(ds, lam, x, xx, step)))
-            while cfg.backtracking and fz > fx and step > 1e-18:
-                step *= 0.5
-                z, xz, fz = _landed(ds, lam, *(yield _prox_input(ds, lam, x, xx, step)))
+            z, xz, fz, step = yield from _prox_step(ds, lam, x, xx, step, cfg.backtracking)
             if fz > fx:
-                # no descent direction left at working precision
+                # a majorized step from x descends in exact arithmetic:
+                # working precision is reached (or a fixed step is too long)
                 stop_reason = "stalled"
                 break
+        if cfg.backtracking:
+            step *= STEP_GROWTH
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = z + beta * (z - x)
@@ -230,19 +259,29 @@ def solve_convex(
 
     Objective values are non-increasing across iterations: whenever the
     accelerated step overshoots, momentum is reset and a plain proximal
-    step is taken from the current iterate, which is a descent step for
-    any step size at most 1/L.  Stops when the relative objective
-    decrease falls below cfg.rel_obj_tol (stop_reason "rel_dec") or when
-    no step size gives descent ("stalled"); hitting max_iters first
+    step is taken from the current iterate, which descends whenever the
+    quadratic model majorizes the loss.  Stops when the relative
+    objective decrease falls below cfg.rel_obj_tol (stop_reason
+    "rel_dec") or when that restarted step does not descend ("stalled":
+    working precision with the adaptive step); hitting max_iters first
     ("max_iters") yields converged=False rather than an exception.
 
-    Each proximal step costs one SVD (:func:`~tracereg.linalg.soft_threshold`),
-    one adjoint and one apply: X(x) and X(z) travel with the iterates, X(y)
-    of the extrapolated point follows by linearity, and the penalty at z
-    is the sum of the shrunk singular values.  With cfg.step=None the
-    step is 1/L from :func:`lipschitz_estimate`, which is memoized per
-    measurement set.  The lockstep rungs of :func:`solve_path` run the
-    same iteration (one ``_apg`` generator) with a stacked prox.
+    The step starts at cfg.step, or at 1/L from :func:`lipschitz_estimate`
+    (memoized per measurement set) when that is None.  With
+    cfg.backtracking each proximal output z from a point b is accepted
+    only when (1/n)||X(z) - X(b)||^2 <= ||z - b||^2 / (2 step), which for
+    this quadratic loss is exact majorization; otherwise the step halves
+    and the prox is retried.  After each iteration the step grows by
+    STEP_GROWTH, so it follows the curvature along the path, typically
+    well below L, instead of the worst case over all directions.
+
+    Each point costs one gradient, one adjoint; each proximal step costs
+    one SVD (:func:`~tracereg.linalg.soft_threshold`) and one apply.  X(x)
+    and X(z) travel with the iterates, X(y) of the extrapolated point
+    follows by linearity, so the majorization check needs no operator
+    call, and the penalty at z is the sum of the shrunk singular values.
+    The lockstep rungs of :func:`solve_path` run the same iteration (one
+    ``_apg`` generator) with a stacked prox.
     """
     if lam <= 0:
         raise ValueError("lam must be positive for the convex solver")
@@ -269,7 +308,7 @@ def solve_path(
 
     One dataset is solved by solve_convex itself.  Several, which must
     share one measurement shape, run each rung in lockstep: each keeps its
-    own step, momentum, restart, backtracking and stop state and leaves
+    own adaptive step, momentum, restart and stop state and leaves
     the rung when it stops, and every round takes one prox for each
     problem still running from one stacked ``eigh`` of their Gram
     matrices (``linalg._soft_threshold_stack``), which matches

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _operator_norm_below, matrix_norm, operator_norm
+from .linalg import _operator_norm_unless_below, matrix_norm, operator_norm
 from .sampling import Dataset, EnsembleSpec, GaussianEnsemble, sample_inner_products
 
 __all__ = [
@@ -128,18 +128,18 @@ def _noise_quantile(
     The k largest norms so far sit in a min-heap whose root t is the
     running k-th largest.  Once the heap holds k, a draw whose norm is
     certified below t cannot change the k-th largest and is skipped; only
-    the others get the exact ``operator_norm``.  With draws in random
-    order about k (1 + ln(reps/k)) of them do.
+    the others get the exact operator norm, from the Gram matrix the
+    certificate already formed.  With draws in random order about
+    k (1 + ln(reps/k)) of them do.
     """
     k = _quantile_rank(reps, quantile)
     top: list[float] = []
     for m in _noise_matrices(spec, n, sigma, reps, rng):
-        if len(top) == k and _operator_norm_below(m, top[0]):
-            continue
-        value = operator_norm(m)
         if len(top) < k:
-            heapq.heappush(top, value)
-        elif value > top[0]:
+            heapq.heappush(top, operator_norm(m))
+            continue
+        value = _operator_norm_unless_below(m, top[0])
+        if value is not None and value > top[0]:
             heapq.heapreplace(top, value)
     return top[0]
 

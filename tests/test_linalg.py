@@ -14,7 +14,7 @@ from tracereg import (
     svd,
     trace_inner,
 )
-from tracereg.linalg import SvdFactors, _operator_norm_below, _soft_threshold_stack
+from tracereg.linalg import SvdFactors, _operator_norm_unless_below, _soft_threshold_stack
 
 
 class TestTraceInner:
@@ -260,11 +260,13 @@ class TestGramKernelAccuracy:
     @given(m=_spectral_matrices(), log_gap=st.floats(-6.0, 0.0), above=st.booleans())
     def test_operator_norm_below_is_a_certificate(self, m, log_gap, above):
         # the margin is 1e-8 relative at these sizes: a bound 1e-6 or more
-        # above the norm is certified, one at or below it never is
+        # above the norm is certified (None), one at or below it never is,
+        # and an uncertified matrix gets operator_norm bit for bit
         norm = operator_norm(m)
         bound = norm * (1.0 + 10.0**log_gap if above else 1.0 - 10.0**log_gap)
-        assert _operator_norm_below(m, bound) == (above and norm > 0.0)
-        assert not _operator_norm_below(m, norm)
+        certified = above and norm > 0.0
+        assert _operator_norm_unless_below(m, bound) == (None if certified else norm)
+        assert _operator_norm_unless_below(m, norm) == norm
 
     @_KERNEL_SETTINGS
     @given(m=_spectral_matrices(), log_ratio=st.floats(-0.5, 3.0))

@@ -1,3 +1,4 @@
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -146,13 +147,25 @@ class TestAdjoint:
 
 
 # Operator identities for all four measurement-set types over random
-# non-square shapes (d_r != d_c, either side possibly 1) and batch sizes.
+# non-square shapes (d_r != d_c, either side possibly 1) and batch sizes,
+# for a set as sampled, as taken by ``subset`` (indices in any order, with
+# repeats) and as read back by ``load_dataset``: a set rebuilt from its
+# fields must act as one built from the same arrays.
 @st.composite
 def _measurement_sets(draw):
     short, extra = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     d_r, d_c = draw(st.permutations([short, short + extra]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ms = ENSEMBLES[draw(st.sampled_from(sorted(ENSEMBLES)))](d_r, d_c).sample_batch(draw(st.integers(1, 12)), rng)
+    spec = ENSEMBLES[draw(st.sampled_from(sorted(ENSEMBLES)))](d_r, d_c)
+    ms = spec.sample_batch(draw(st.integers(1, 12)), rng)
+    route = draw(st.sampled_from(["sampled", "subset", "file"]))
+    if route == "subset":
+        ms = ms.subset(rng.integers(0, len(ms), size=draw(st.integers(1, 12))))
+    elif route == "file":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.npz"
+            save_dataset(Dataset(spec, ms, rng.standard_normal(len(ms)), 0.0, 0), path)
+            ms = load_dataset(path).measurements
     return ms, rng.standard_normal((d_r, d_c)), rng.standard_normal(len(ms))
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tracereg import (
+    ENSEMBLES,
     Dataset,
     EntrySet,
     FactoredMeasurement,
@@ -234,6 +237,173 @@ class TestStopReason:
         lam = 0.2 * lambda_max(ds)
         assert solve_factored(ds, lam, 2).stop_reason == "rel_dec"
         assert solve_factored(ds, lam, 2, SolverConfig(max_iters=1, rel_obj_tol=1e-14)).stop_reason == "max_iters"
+
+
+def ensemble_instance(kind, d_r=7, d_c=5, n=60, seed=0):
+    """A noisy rank-2 problem of ensemble ``kind``."""
+    b_star = generate_ground_truth(d_r, d_c, 2, stream(seed))
+    return generate_dataset(ENSEMBLES[kind](d_r, d_c), b_star, n, 0.3, seed=seed + 1)
+
+
+def fixed_step_fista(ds, lam, step, max_iters, rel_obj_tol):
+    """Reference: fixed-step FISTA with the monotone restart, written out as
+    the convex solver iterated before its step became adaptive.  Returns
+    (b_hat, history, stop_reason)."""
+    ms, n = ds.measurements, ds.n
+
+    def prox_step(b, xb):
+        grad = ms.adjoint(xb - ds.y) * (2.0 / n)
+        shrunk = np.empty(min(ms.shape))
+        z = soft_threshold(b - step * grad, lam * step, singulars=shrunk)
+        xz = ms.apply(z)
+        resid = ds.y - xz
+        return z, xz, float(resid @ resid / n + lam * float(np.sum(shrunk)))
+
+    x = np.zeros(ms.shape)
+    xx = ms.apply(x)
+    y, xy, t = x, xx, 1.0
+    fx = float((ds.y - xx) @ (ds.y - xx) / n + lam * 0.0)
+    history, stop = [fx], "max_iters"
+    for _ in range(max_iters):
+        z, xz, fz = prox_step(y, xy)
+        if fz > fx:
+            t = 1.0
+            z, xz, fz = prox_step(x, xx)
+            if fz > fx:
+                stop = "stalled"
+                break
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y, xy = z + beta * (z - x), xz + beta * (xz - xx)
+        rel_dec = (fx - fz) / max(abs(fx), 1e-300)
+        x, xx, fx, t = z, xz, fz, t_next
+        history.append(fx)
+        if 0.0 <= rel_dec < rel_obj_tol:
+            stop = "rel_dec"
+            break
+    return x, tuple(history), stop
+
+
+class TestAdaptiveStep:
+    """The APG step adapts: each proximal step is accepted only under the
+    exact majorization (1/n)||X(z - b)||^2 <= ||z - b||^2 / (2 step), and the
+    step grows after every iteration."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(sorted(ENSEMBLES)),
+        d_r=st.integers(1, 8),
+        d_c=st.integers(2, 8),
+        n=st.integers(5, 120),
+        frac=st.floats(0.02, 0.9),
+        step_scale=st.sampled_from([None, 0.1, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # restarts from x whose step, grown since it was last checked, is too
+    # long there: caught only if the restart's step is checked too
+    @example(kind="factored_measurement", d_r=5, d_c=3, n=117, frac=0.1866, step_scale=None, seed=12)
+    @example(kind="matrix_completion", d_r=7, d_c=7, n=87, frac=0.5022, step_scale=None, seed=50)
+    def test_accepted_steps_are_majorized_and_history_never_rises(self, kind, d_r, d_c, n, frac, step_scale, seed):
+        b_star = generate_ground_truth(d_r, d_c, 1, stream(seed))
+        ds = generate_dataset(ENSEMBLES[kind](d_r, d_c), b_star, n, 0.3, seed=seed)
+        lam = frac * lambda_max(ds)
+        cfg = SolverConfig() if step_scale is None else SolverConfig(step=step_scale / lipschitz_estimate(ds))
+        accepted = []
+        real = solvers._prox_step
+
+        def recording(ds, lam, b, xb, step, adaptive):
+            z, xz, fz, taken = yield from real(ds, lam, b, xb, step, adaptive)
+            accepted.append((b, z, taken))
+            return z, xz, fz, taken
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_prox_step", recording)
+            est = solve_convex(ds, lam, cfg)
+        assert est.converged and len(accepted) >= est.iters
+        for b, z, taken in accepted:
+            move = z - b
+            xmove = ds.measurements.apply(move)
+            curvature = float(xmove @ xmove) / ds.n
+            bound = float(np.sum(move * move)) / (2.0 * taken)
+            assert curvature <= bound * (1.0 + 1e-9)
+        assert np.all(np.diff(est.history) <= 0.0)
+
+    @pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+    def test_agrees_with_the_fixed_step(self, kind):
+        ds = ensemble_instance(kind, seed=5)
+        tight = SolverConfig(rel_obj_tol=1e-12)
+        for frac in (0.05, 0.3):
+            lam = frac * lambda_max(ds)
+            adaptive = solve_convex(ds, lam, tight)
+            fixed = solve_convex(ds, lam, SolverConfig(rel_obj_tol=1e-12, backtracking=False))
+            assert adaptive.stop_reason == fixed.stop_reason == "rel_dec"
+            assert adaptive.objective == pytest.approx(fixed.objective, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+    @pytest.mark.parametrize("step_scale", [1.0, 4.0])
+    def test_fixed_step_iterates_are_plain_fista(self, kind, step_scale):
+        # step_scale 4 overshoots 1/L, so restarts (and possibly a stall) occur
+        ds = ensemble_instance(kind, seed=6)
+        lam = 0.1 * lambda_max(ds)
+        step = step_scale / lipschitz_estimate(ds)
+        est = solve_convex(ds, lam, SolverConfig(step=step, backtracking=False, max_iters=300))
+        b_hat, history, stop = fixed_step_fista(ds, lam, step, 300, SolverConfig().rel_obj_tol)
+        assert np.array_equal(est.b_hat, b_hat)
+        assert est.history == history and est.stop_reason == stop
+
+    def test_grows_past_one_over_l(self):
+        _, _, ds = mc_instance(seed=21)
+        taken = []
+        real = solvers._prox_step
+
+        def recording(*args):
+            out = yield from real(*args)
+            taken.append(out[3])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_prox_step", recording)
+            solve_convex(ds, 0.2 * lambda_max(ds))
+        assert max(taken) > 2.0 / lipschitz_estimate(ds)
+
+    def test_an_output_equal_to_its_base_is_accepted(self):
+        # X(b) as the iterates carry it may differ from a fresh apply by
+        # rounding; a prox that returns b itself must not halve forever
+        _, _, ds = mc_instance(seed=23)
+        b = np.zeros(ds.measurements.shape)
+        xb = ds.measurements.apply(b) + 1e-12
+        step_gen = solvers._prox_step(ds, 0.1, b, xb, 1.0, True)
+        next(step_gen)
+        with pytest.raises(StopIteration) as done:
+            step_gen.send((b.copy(), np.zeros(12)))
+        z, _, _, taken = done.value.value
+        assert np.array_equal(z, b) and taken == 1.0
+
+    def test_stall_takes_one_restart_prox(self, monkeypatch):
+        # Start at the solution and let every prox output carry a bump at an
+        # entry no measurement sees: the loss cannot tell, the penalty rises,
+        # so neither the step nor the majorized restart descends.  The
+        # solve stops after that one restart instead of halving the step.
+        _, _, ds = mc_instance(d=12, n=60, seed=22)
+        lam = 0.2 * lambda_max(ds)
+        x_opt = solve_convex(ds, lam, SolverConfig(rel_obj_tol=1e-13)).b_hat
+        ms = ds.measurements
+        seen = np.zeros(ms.shape, dtype=bool)
+        seen[ms.rows, ms.cols] = True
+        i, j = np.argwhere(~seen)[0]
+        proxes = []
+
+        def bumped(m, tau, singulars=None):
+            out = soft_threshold(m, tau)
+            out[i, j] += 10.0 * (1.0 + np.max(np.abs(out)))
+            singulars[:] = np.linalg.svd(out, compute_uv=False)
+            proxes.append(tau)
+            return out
+
+        monkeypatch.setattr(solvers, "soft_threshold", bumped)
+        est = solve_convex(ds, lam, x0=x_opt)
+        assert est.stop_reason == "stalled" and est.iters == 1
+        assert len(proxes) == 2
 
 
 class TestSolveConvexBatch:

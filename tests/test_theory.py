@@ -19,6 +19,7 @@ from tracereg import (
     gaussian_square_mgf,
     generate_dataset,
     generate_ground_truth,
+    linalg,
     matrix_norm,
     operator_norm,
     rademacher_sketch,
@@ -101,16 +102,28 @@ class TestNoiseQuantile:
 
     def test_fewer_than_half_the_draws_reach_the_eigensolver(self, monkeypatch):
         calls = []
-        real = theory.operator_norm
+        real = linalg._gram_norm
 
-        def counting(m):
-            calls.append(m.shape)
-            return real(m)
+        def counting(g):
+            calls.append(g.shape)
+            return real(g)
 
-        monkeypatch.setattr(theory, "operator_norm", counting)
+        monkeypatch.setattr(linalg, "_gram_norm", counting)
         spec = MatrixCompletion(30, 30, plain_entries=True)
         theory._noise_quantile(spec, 1000, 1.0, 100, 0.9, stream(3))
         assert 10 <= len(calls) < 50
+
+    def test_one_gram_product_per_draw(self, monkeypatch):
+        # a draw the certificate cannot clear takes its eigenvalue solve on
+        # the Gram matrix the certificate formed, not on a second product
+        grams, solves = [], []
+        real_gram, real_norm = linalg._gram, linalg._gram_norm
+        monkeypatch.setattr(linalg, "_gram", lambda m: grams.append(m.shape) or real_gram(m))
+        monkeypatch.setattr(linalg, "_gram_norm", lambda g: solves.append(g.shape) or real_norm(g))
+        spec = MatrixCompletion(30, 30, plain_entries=True)
+        theory._noise_quantile(spec, 1000, 1.0, 100, 0.9, stream(3))
+        assert len(solves) > 10  # k = 10 fill the heap; some later draws are not certified
+        assert len(grams) == 100
 
     @pytest.mark.parametrize("reps, quantile", [(9, 0.9), (20, 0.0), (20, 1.0)])
     def test_rejects_what_calibrate_lambda0_rejects(self, reps, quantile):
