@@ -6,9 +6,11 @@ selected estimator averages the K complement fits at the winning lam,
 weighted by fold size.
 
 The K fold fits walk the grid together through ``solvers.solve_path``,
-warm-started from rung to rung and solved in lockstep: each round takes
-the K prox steps from one stacked eigendecomposition, and every fold's
-fit is bit-identical to a chain of lone ``solve_convex`` calls on it.
+warm-started from rung to rung (from the third rung on at the secant
+prediction of the fold's last two fits) and solved in lockstep: each
+round takes the K prox steps from one stacked eigendecomposition, and
+every fold's fit is bit-identical to a chain of lone ``solve_convex``
+calls on it from the same starts.
 """
 
 from __future__ import annotations
@@ -94,7 +96,9 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
 
     Each fold's estimator is fit on that fold's complement by
     :func:`~tracereg.solvers.solve_path` with ``cfg``, so the first lam's
-    fits are cold and each later one is warm-started from the fit before.
+    fits are cold, the second starts from the first, and each later one
+    starts from the secant prediction b_j + r_j (b_j - b_{j-1}) of the
+    fold's last two fits (r_j = 0.5 on a halving grid).
     ``e_hat[j]`` is the per-sample out-of-fold prediction error
     (1/n) sum_k ||y_k - X_k(B_{-k})||^2 at grid[j], stored per sample so it
     compares directly with per-observation noise levels.  Ties at the

@@ -117,6 +117,7 @@ class SummaryRow:
     mean: float
     two_se: float
     count: int
+    unconverged: int  # records in the group whose solve reported converged=False
 
 
 def child_seed(*keys) -> int:
@@ -356,18 +357,20 @@ def run_calibration(cfg: ExperimentConfig) -> dict:
 
 
 def summarize(records: list[ExperimentRecord]) -> list[SummaryRow]:
-    """Mean relative error with twice its standard error per
-    (estimator, n) group."""
+    """Mean relative error with twice its standard error, and the count of
+    records whose solve did not converge, per (estimator, n) group."""
     if not records:
         raise ValueError("no records to summarize")
-    groups: dict[tuple[str, int], list[float]] = {}
+    groups: dict[tuple[str, int], list[ExperimentRecord]] = {}
     for rec in records:
-        groups.setdefault((rec.estimator, rec.n), []).append(rec.relative_error)
+        groups.setdefault((rec.estimator, rec.n), []).append(rec)
     rows = []
-    for (est, n), vals in sorted(groups.items()):
-        arr = np.asarray(vals)
+    for (est, n), recs in sorted(groups.items()):
+        arr = np.asarray([rec.relative_error for rec in recs])
         two_se = 0.0 if len(arr) < 2 else 2.0 * float(np.std(arr, ddof=1)) / math.sqrt(len(arr))
-        rows.append(SummaryRow(estimator=est, n=n, mean=float(np.mean(arr)), two_se=two_se, count=len(arr)))
+        unconverged = sum(not rec.converged for rec in recs)
+        rows.append(SummaryRow(estimator=est, n=n, mean=float(np.mean(arr)), two_se=two_se, count=len(arr),
+                               unconverged=unconverged))
     return rows
 
 
@@ -509,8 +512,10 @@ def emit_outputs(records: list[ExperimentRecord], summary: list[SummaryRow], cfg
         "figure": os.path.join(cfg.out_dir, "figure1.svg"),
     }
     write_records_csv(records, paths["records"])
-    lines = ["estimator,n,mean,two_se,count"]
-    lines += [f"{row.estimator},{row.n},{_fmt(row.mean)},{_fmt(row.two_se)},{row.count}" for row in summary]
+    lines = ["estimator,n,mean,two_se,count,unconverged"]
+    lines += [
+        f"{row.estimator},{row.n},{_fmt(row.mean)},{_fmt(row.two_se)},{row.count},{row.unconverged}" for row in summary
+    ]
     _write_text(paths["summary"], "\n".join(lines) + "\n")
     echo = [f"{key}={_config_value(val)}" for key, val in sorted(asdict(cfg).items())]
     _write_text(paths["config"], "\n".join(echo) + "\n")

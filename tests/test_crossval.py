@@ -274,7 +274,8 @@ SPECS = [
 
 class TestLockstepFolds:
     """cv_select solves the K folds of one lam in lockstep; every fold fit
-    must be the one a lone solve_convex warm-started along the grid gives."""
+    must be the one a lone solve_convex gives from solve_path's start: the
+    previous rung's fit at rung 1, its secant prediction from rung 2 on."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("mode", ["default", "fixed_step", "max_iters"])
@@ -297,12 +298,17 @@ class TestLockstepFolds:
         )
         res = cv_select(ds, plan, grid, cfg)
         monkeypatch.undo()
-        warm = [None] * plan.k
+        warm, prev = [None] * plan.k, [None] * plan.k
         for j, lam in enumerate(grid):
             total = 0.0
             for fold in range(plan.k):
                 lone = solve_convex(ds.subset(plan.complement(fold)), lam, cfg, x0=warm[fold])
                 warm[fold] = lone.b_hat
+                if 1 <= j < len(grid) - 1:
+                    # the secant start of the next rung
+                    r = (grid[j + 1] - lam) / (lam - grid[j - 1])
+                    warm[fold] = lone.b_hat + r * (lone.b_hat - prev[fold])
+                prev[fold] = lone.b_hat
                 est = res.per_fold_estimates[j][fold]
                 assert np.array_equal(est.b_hat, lone.b_hat)
                 assert (est.objective, est.iters, est.converged, est.history, est.stop_reason) == (

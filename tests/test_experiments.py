@@ -217,6 +217,19 @@ class TestRunExactRecovery:
         assert len(records) == 2
         assert all(rec.success for rec in records)
 
+    def test_byte_identical_records_across_runs(self, tmp_path):
+        outs = []
+        for run in ("a", "b"):
+            cfg = ExperimentConfig(
+                experiment="exact_recovery", ensemble="gaussian_ensemble", d=30, r=2, sigma=0.0,
+                n_grid=(240, 600), replicates=2, seed=9, out_dir=str(tmp_path / run),
+            )
+            records = run_exact_recovery(cfg)
+            outs.append(emit_outputs(records, summarize(records), cfg))
+        for key in ("records", "summary"):
+            with open(outs[0][key], "rb") as fa, open(outs[1][key], "rb") as fb:
+                assert fa.read() == fb.read()
+
     def test_noise_rejected(self, tmp_path):
         cfg = ExperimentConfig(experiment="exact_recovery", sigma=0.5, out_dir=str(tmp_path))
         with pytest.raises(ConfigError):
@@ -227,7 +240,7 @@ class TestSummarize:
     def test_single_record(self):
         rec = ExperimentRecord("cv", 100, 0, 0.25, 1.0, True, 7)
         rows = summarize([rec])
-        assert rows[0].mean == 0.25 and rows[0].two_se == 0.0 and rows[0].count == 1
+        assert rows[0].mean == 0.25 and rows[0].two_se == 0.0 and rows[0].count == 1 and rows[0].unconverged == 0
 
     def test_two_record_oracle(self):
         recs = [
@@ -253,6 +266,22 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    def test_counts_solves_cut_at_max_iters(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_FIG1_SOLVER", solvers.SolverConfig(max_iters=1, rel_obj_tol=1e-14))
+        cfg = small_fig1_cfg(tmp_path, replicates=2)
+        records = run_figure1(cfg)
+        rows = summarize(records)
+        for row in rows:
+            group = [rec for rec in records if (rec.estimator, rec.n) == (row.estimator, row.n)]
+            assert row.unconverged == sum(not rec.converged for rec in group)
+        # one prox step from zero at the theory penalty cannot meet the tolerance
+        assert [row.unconverged for row in rows if row.estimator.startswith("theory")] == [2, 2, 2]
+        paths = emit_outputs(records, rows, cfg)
+        with open(paths["summary"], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "estimator,n,mean,two_se,count,unconverged"
+        assert [int(line.rsplit(",", 1)[1]) for line in lines[1:]] == [row.unconverged for row in rows]
 
 
 class TestEmitOutputs:

@@ -450,6 +450,21 @@ class TestSolveConvexBatch:
         assert solve_path([], [1.0])[0] == []
 
 
+def secant_chain(ds, grid, cfg=SolverConfig(), x0=None):
+    """Reference for solve_path on one dataset: lone solve_convex calls,
+    rung 0 from x0, rung 1 from rung 0's solution and each later rung j+1
+    from the secant start b_j + r_j (b_j - b_{j-1}), r_j = (lam_{j+1} -
+    lam_j) / (lam_j - lam_{j-1})."""
+    chain, warm = [], x0
+    for j, lam in enumerate(grid):
+        chain.append(solve_convex(ds, lam, cfg, x0=warm))
+        warm = chain[-1].b_hat
+        if 1 <= j < len(grid) - 1:
+            r = (grid[j + 1] - lam) / (lam - grid[j - 1])
+            warm = warm + r * (warm - chain[-2].b_hat)
+    return chain
+
+
 class TestSolvePath:
     def test_one_dataset_is_a_warm_started_chain_of_solve_convex(self, monkeypatch):
         _, _, ds = mc_instance(seed=19)
@@ -459,11 +474,56 @@ class TestSolvePath:
         path = solve_path([ds], grid, x0s=[x0])
         monkeypatch.undo()
         assert [len(row) for row in path] == [1, 1, 1]
-        warm = x0
-        for lam, (est,) in zip(grid, path):
-            lone = solve_convex(ds, lam, x0=warm)
+        for (est,), lone in zip(path, secant_chain(ds, grid, x0=x0)):
             assert_same_estimate(est, lone)
-            warm = lone.b_hat
+
+    @pytest.mark.parametrize("sets", [1, 2])
+    @pytest.mark.parametrize("rungs", [2, 3])
+    def test_first_two_rungs_are_a_plain_chain(self, sets, rungs):
+        # rung 1 starts from rung 0's solution, never from a secant through
+        # x0s, so a two-rung grid is the plain warm-started chain
+        _, _, ds = mc_instance(seed=36)
+        datasets = [ds, ds.subset(np.arange(0, ds.n, 2))][:sets]
+        grid = [frac * lambda_max(ds) for frac in (0.5, 0.2, 0.05)][:rungs]
+        x0 = np.full(ds.measurements.shape, 0.1)
+        path = solve_path(datasets, grid, x0s=[x0] * sets)
+        for i, part in enumerate(datasets):
+            first = solve_convex(part, grid[0], x0=x0)
+            assert_same_estimate(path[0][i], first)
+            assert_same_estimate(path[1][i], solve_convex(part, grid[1], x0=first.b_hat))
+
+    def test_secant_ratio_follows_a_non_geometric_grid(self):
+        _, _, ds = mc_instance(seed=37)
+        parts = [ds.subset(np.arange(i, ds.n, 2)) for i in range(2)]
+        grid = [frac * lambda_max(ds) for frac in (1.0, 0.7, 0.2, 0.15)]
+        ratios = [(grid[j + 1] - grid[j]) / (grid[j] - grid[j - 1]) for j in (1, 2)]
+        assert ratios == pytest.approx([5.0 / 3.0, 0.1], rel=1e-12)
+        path = solve_path(parts, grid)
+        for i, part in enumerate(parts):
+            b = [path[j][i].b_hat for j in range(len(grid))]
+            assert_same_estimate(path[0][i], solve_convex(part, grid[0]))
+            assert_same_estimate(path[1][i], solve_convex(part, grid[1], x0=b[0]))
+            for j, r in zip((1, 2), ratios):
+                start = b[j] + r * (b[j] - b[j - 1])
+                assert_same_estimate(path[j + 1][i], solve_convex(part, grid[j + 1], x0=start))
+
+    def test_noiseless_ladder_takes_fewer_prox_steps_than_a_plain_chain(self, monkeypatch):
+        d, r = 20, 2
+        b_star = generate_ground_truth(d, d, r, stream(38))
+        ds = generate_dataset(GaussianEnsemble(d, d), b_star, 10 * r * d, 0.0, seed=39)
+        proxes = []
+        monkeypatch.setattr(solvers, "soft_threshold", lambda *a, **kw: proxes.append(1) or soft_threshold(*a, **kw))
+        est = solve_noiseless(ds)
+        secant = len(proxes)
+        proxes.clear()
+        cfg, warm = SolverConfig(max_iters=2000), None
+        for j in range(solvers.NOISELESS_LADDER_STEPS + 1):
+            lam = lambda_max(ds) / solvers.NOISELESS_LADDER_FACTOR**j
+            warm = solve_convex(ds, lam, cfg, x0=warm).b_hat
+        plain = len(proxes)
+        resid = np.linalg.norm(ds.y - ds.measurements.apply(warm)) / np.linalg.norm(ds.y)
+        assert secant <= 0.75 * plain
+        assert est.converged == (resid <= solvers.NOISELESS_RESIDUAL_TOL)
 
     @pytest.mark.parametrize(
         "grid, match",
