@@ -15,9 +15,10 @@ operator norm to a few eps.  The nuclear norm, numerical rank, thin SVD
 and projectors use ``gesdd``.
 
 Cross-validation solves its K fold problems in lockstep and takes their
-prox steps from the private ``_soft_threshold_stack``: one ``eigh`` of
-the stacked Gram matrices, then per matrix the same truncated product as
-``soft_threshold``, which it matches bit for bit.
+prox steps from the private ``_soft_threshold_stack``: one symmetric SVD
+of the stacked Gram matrices, the routine ``soft_threshold`` calls on
+one, then per matrix the same truncated product, so the two agree bit
+for bit.
 
 Calibration screens its noise draws with the private
 ``_operator_norm_unless_below``: a Cholesky factorization of the shifted
@@ -215,20 +216,13 @@ def soft_threshold(m, tau: float, singulars: np.ndarray | None = None) -> np.nda
 
 def _soft_threshold_stack(ms, taus, singulars: np.ndarray | None = None) -> list[np.ndarray]:
     """:func:`soft_threshold` of each of P same-shape matrices ``ms`` with
-    its own ``taus[p]``, bit for bit, from one stacked ``np.linalg.eigh``.
-
-    ``np.linalg.svd(g, hermitian=True)`` is ``eigh(g)`` followed by a
-    re-sort by |eigenvalue|, a sign move into the eigenvectors and a copy
-    of them, which costs 30-75 us per call at d = 30-50.  Here the P Gram
-    matrices go through one ``eigh`` call (the same LAPACK solve for each
-    matrix), the singular values are sorted exactly as that wrapper sorts
-    them, and each matrix's eigenvectors are gathered in that order into
-    the C layout of the wrapper's ``vh.T``.  The input matrices are not
-    copied into one array either: the BLAS products take the same path as
-    in soft_threshold only when every operand has the same memory layout.
-    The moved signs are left out: a vector enters the product once in each
-    factor, so a negated one changes no bit.  Row p of ``singulars``
-    (shape (P, min(d_r, d_c))) receives the p-th shrunk singular values.
+    its own ``taus[p]``, bit for bit, from one stacked
+    ``np.linalg.svd(..., hermitian=True)`` of their Gram matrices, the
+    routine soft_threshold calls on one (the same LAPACK solve for each
+    matrix).  The input matrices are not copied into one array: the BLAS
+    products take the same path as in soft_threshold only when every
+    operand has the same memory layout.  Row p of ``singulars`` (shape
+    (P, min(d_r, d_c))) receives the p-th shrunk singular values.
     """
     taus = np.asarray(taus, dtype=float)
     mats = [np.asarray(m, dtype=float) for m in ms]
@@ -245,14 +239,12 @@ def _soft_threshold_stack(ms, taus, singulars: np.ndarray | None = None) -> list
         np.matmul(a.T, a, out=gram[p])
     if not np.all(np.isfinite(gram)):
         raise ValueError("matrix entries must be finite")
-    w, u = np.linalg.eigh(gram)
-    w = np.abs(w)
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    s = np.sqrt(np.take_along_axis(w, order, axis=-1))
+    _, s2, vh = np.linalg.svd(gram, hermitian=True)
+    s = np.sqrt(s2)
     shrunk = _shrinkage(s, taus[:, None], singulars)
     ks = np.sum(s > taus[:, None], axis=-1)
     return [
-        _gram_product(a, wide, np.take(u[p], order[p], axis=1)[:, :k], shrunk[p, :k] / s[p, :k])
+        _gram_product(a, wide, vh[p, :k].T, shrunk[p, :k] / s[p, :k])
         for p, ((a, wide), k) in enumerate(zip(tall, ks))
     ]
 

@@ -61,10 +61,11 @@ def _declared(cls) -> tuple[str, ...]:
 class MeasurementSet:
     """Batch of measurements of one kind with vectorized operator action.
 
-    Subclasses are dataclasses (``eq=False``: sets hash by identity, for
-    the solvers' per-set memo) whose fields are the set's arrays, one entry
-    per measurement along the first axis, then d_r and d_c; ``len``,
-    ``subset`` and the dataset file follow those fields.  Subclasses
+    Subclasses are dataclasses (``eq=False``: array fields have no single
+    truth value, so sets compare and hash by identity) whose fields are
+    the set's arrays, one entry per measurement along the first axis,
+    then d_r and d_c; ``len``, ``subset`` and the dataset file follow
+    those fields, which ``_declared`` reads once per class.  Subclasses
     implement ``apply`` (the sampling operator), ``adjoint`` (weighted sum
     of measurement matrices) and the factor-design products used by the
     alternating solver; ``densify`` follows from ``xi_dot``.

@@ -6,11 +6,13 @@ adaptive step: a proximal step is accepted only when the loss's
 quadratic model at its base point majorizes the loss at its output
 (checked from the operator images the iterates already carry, so at no
 operator call), is halved and retried from the same gradient otherwise,
-and grows by STEP_GROWTH after each iteration, so it may exceed 1/L.
-The factored route alternates exact ridge solves over the two factors
-of B = U V^T.  Every solve returns an Estimate carrying its certificate
-data, and ``check_goodness`` verifies a posteriori that an estimate's
-loss does not exceed the loss at the target matrix.
+and grows by STEP_GROWTH after each iteration, so it may exceed 1/L; it
+starts at the Cauchy step along the first gradient, which is never below
+1/L (Beck & Teboulle 2009; Becker, Candes & Grant 2011).  The factored
+route alternates exact ridge solves over the two factors of B = U V^T.
+Every solve returns an Estimate carrying its certificate data, and
+``check_goodness`` verifies a posteriori that an estimate's loss does
+not exceed the loss at the target matrix.
 
 The convex solve is written once, as a generator that yields its prox
 inputs; ``solve_convex`` drives one of them through ``soft_threshold``.
@@ -20,26 +22,22 @@ continuation ladder; from its third rung on it starts each rung from the
 secant prediction of the last two solutions (the predictor step of
 numerical continuation), not from the last solution itself.  It runs
 several same-shape problems (the K cross-validation folds) in lockstep,
-taking each round's prox steps from one stacked ``eigh``
-(``linalg._soft_threshold_stack``, bit-identical to soft_threshold); the
-secant start is formed ahead of either route, so each Estimate equals
-the one a lone solve_convex from the same start returns.
-
-The Lipschitz estimate is memoized per MeasurementSet object, so
-measurement sets must not be mutated in place once a solver has seen
-them; build a new set (for example with ``subset``) instead.
+taking each round's prox steps from one stacked symmetric SVD
+(``linalg._soft_threshold_stack``, the routine soft_threshold calls, so
+the two agree bit for bit); the secant start is formed ahead of either
+route, so each Estimate equals the one a lone solve_convex from the same
+start returns.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import _soft_threshold_stack, matrix_norm, operator_norm, soft_threshold, svd
-from .sampling import Dataset, MeasurementSet
+from .sampling import Dataset
 
 __all__ = [
     "SolverConfig",
@@ -60,19 +58,16 @@ __all__ = [
 class SolverConfig:
     """Iteration controls shared by the solvers.
 
-    The convex solver's first step is ``step``, or with step=None the
-    reciprocal of the power-iteration estimate of the gradient Lipschitz
-    constant.  With backtracking (the default) the step adapts: a
-    proximal step whose output the quadratic model at its base point
-    does not majorize is halved and retried from the same gradient, and
-    after each iteration the step grows by ``STEP_GROWTH``.
-    backtracking=False keeps the first step throughout.
+    The convex solver's step starts at ``step``, or with step=None at the
+    Cauchy step along the first gradient, and then adapts: a proximal
+    step whose output the quadratic model at its base point does not
+    majorize is halved and retried from the same gradient, and after each
+    iteration the step grows by ``STEP_GROWTH``.
     """
 
     max_iters: int = 5000
     rel_obj_tol: float = 1e-8
     step: float | None = None
-    backtracking: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -97,8 +92,9 @@ class Estimate:
     the adaptive step that step is majorized, so this happens only at
     working precision; convex route only) or "max_iters".
     ``converged`` is True exactly when it is not "max_iters".  The
-    noiseless solver, which judges convergence by its residual, leaves
-    it None.
+    noiseless solver reports "max_iters" when any rung of its ladder was
+    cut there, and otherwise the last rung's reason; its ``converged``
+    also requires the residual to be within tolerance.
     """
 
     b_hat: np.ndarray
@@ -128,30 +124,16 @@ def lambda_max(ds: Dataset) -> float:
     return 2.0 / ds.n * operator_norm(ds.measurements.adjoint(ds.y))
 
 
-# power-iteration results per measurement set; entries vanish with their set
-_LIPSCHITZ_MEMO: weakref.WeakKeyDictionary[MeasurementSet, float] = weakref.WeakKeyDictionary()
-
-
 def lipschitz_estimate(ds: Dataset) -> float:
     """Power-iteration estimate of the Lipschitz constant of the smooth
     part's gradient, i.e. the largest eigenvalue of b -> (2/n) X*(X(b)).
-
-    The estimate depends only on the measurements, so it is computed once
-    per MeasurementSet object and then reused: every lam solved on one
-    training set shares one power iteration.
-    """
+    The solvers do not need it; it sets explicit steps and bounds."""
     ms = ds.measurements
-    if ms not in _LIPSCHITZ_MEMO:
-        _LIPSCHITZ_MEMO[ms] = _power_iteration(ms, 20)
-    return _LIPSCHITZ_MEMO[ms]
-
-
-def _power_iteration(ms: MeasurementSet, iters: int) -> float:
     b = np.ones(ms.shape)
     b /= np.linalg.norm(b)
     lam = 1.0
-    for _ in range(iters):
-        nxt = ms.adjoint(ms.apply(b)) * (2.0 / len(ms))
+    for _ in range(20):
+        nxt = ms.adjoint(ms.apply(b)) * (2.0 / ds.n)
         nrm = np.linalg.norm(nxt)
         if nrm == 0.0:
             return 1.0
@@ -172,27 +154,33 @@ def _penalized_loss(ds: Dataset, lam: float, xb: np.ndarray, nuclear: float) -> 
 STEP_GROWTH = 1.0 / 0.9
 
 
-def _prox_step(ds: Dataset, lam: float, b: np.ndarray, xb: np.ndarray, step: float, adaptive: bool):
+def _prox_step(ds: Dataset, lam: float, b: np.ndarray, xb: np.ndarray, step: float | None):
     """One proximal-gradient step from b, given xb = X(b), as a
     sub-generator of :func:`_apg`: it yields prox inputs (m, tau), is sent
     back each prox output with its shrunk singular values, and returns
     (z, X(z), penalized loss at z, the step taken).
 
-    The gradient at b costs one adjoint, each prox output one apply.
-    With ``adaptive`` the output z is accepted only when
-    (1/n)||X(z) - X(b)||^2 <= ||z - b||^2 / (2 step); for this quadratic
-    loss that is exactly f(z) <= f(b) + <grad f(b), z - b> + ||z - b||^2 / (2 step),
-    the majorization under which a proximal step descends.  Otherwise the
+    The gradient at b costs one adjoint, each prox output one apply.  A
+    step of None starts at the Cauchy step ||g||^2 / ((2/n)||X(g)||^2)
+    along the gradient g, at one more apply (1.0 when g = 0).  The output
+    z is accepted only when (1/n)||X(z) - X(b)||^2 <= ||z - b||^2 / (2 step);
+    for this quadratic loss that is exactly
+    f(z) <= f(b) + <grad f(b), z - b> + ||z - b||^2 / (2 step), the
+    majorization under which a proximal step descends.  Otherwise the
     step halves and the prox is retried from the same gradient.  An output
     equal to b moves nothing and is accepted as it is.
     """
     grad = ds.measurements.adjoint(xb - ds.y) * (2.0 / ds.n)
+    if step is None:
+        xg = ds.measurements.apply(grad)
+        curvature = 2.0 / ds.n * float(xg @ xg)
+        step = float(np.vdot(grad, grad)) / curvature if curvature > 0.0 else 1.0
     while True:
         z, shrunk = yield b - step * grad, lam * step
         xz = ds.measurements.apply(z)
         gap, move = xz - xb, z - b
         moved = float(np.vdot(move, move))
-        if not adaptive or moved == 0.0 or gap @ gap / ds.n <= moved / (2.0 * step):
+        if moved == 0.0 or gap @ gap / ds.n <= moved / (2.0 * step):
             return z, xz, _penalized_loss(ds, lam, xz, float(np.sum(shrunk))), step
         step *= 0.5
 
@@ -203,7 +191,7 @@ def _apg(ds: Dataset, lam: float, cfg: SolverConfig, x0: np.ndarray | None):
     output with its shrunk singular values, and returns the Estimate; see
     :func:`solve_convex`."""
     ms = ds.measurements
-    step = cfg.step if cfg.step is not None else 1.0 / lipschitz_estimate(ds)
+    step = cfg.step
     if x0 is None:
         x = np.zeros(ms.shape)
         nuclear = 0.0
@@ -218,18 +206,17 @@ def _apg(ds: Dataset, lam: float, cfg: SolverConfig, x0: np.ndarray | None):
     stop_reason = "max_iters"
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
-        z, xz, fz, step = yield from _prox_step(ds, lam, y, xy, step, cfg.backtracking)
+        z, xz, fz, step = yield from _prox_step(ds, lam, y, xy, step)
         if fz > fx:
             # momentum overshot: restart from the best iterate
             t = 1.0
-            z, xz, fz, step = yield from _prox_step(ds, lam, x, xx, step, cfg.backtracking)
+            z, xz, fz, step = yield from _prox_step(ds, lam, x, xx, step)
             if fz > fx:
                 # a majorized step from x descends in exact arithmetic:
-                # working precision is reached (or a fixed step is too long)
+                # working precision is reached
                 stop_reason = "stalled"
                 break
-        if cfg.backtracking:
-            step *= STEP_GROWTH
+        step *= STEP_GROWTH
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = z + beta * (z - x)
@@ -269,17 +256,18 @@ def solve_convex(
     working precision with the adaptive step); hitting max_iters first
     ("max_iters") yields converged=False rather than an exception.
 
-    The step starts at cfg.step, or at 1/L from :func:`lipschitz_estimate`
-    (memoized per measurement set) when that is None.  With
-    cfg.backtracking each proximal output z from a point b is accepted
-    only when (1/n)||X(z) - X(b)||^2 <= ||z - b||^2 / (2 step), which for
-    this quadratic loss is exact majorization; otherwise the step halves
-    and the prox is retried.  After each iteration the step grows by
+    The step starts at cfg.step or, when that is None, at the Cauchy step
+    ||g||^2 / ((2/n)||X(g)||^2) along the first gradient g, which is at
+    least 1/L.  Each proximal output z from a point b is accepted only
+    when (1/n)||X(z) - X(b)||^2 <= ||z - b||^2 / (2 step), which for this
+    quadratic loss is exact majorization; otherwise the step halves and
+    the prox is retried.  After each iteration the step grows by
     STEP_GROWTH, so it follows the curvature along the path, typically
     well below L, instead of the worst case over all directions.
 
     Each point costs one gradient, one adjoint; each proximal step costs
-    one SVD (:func:`~tracereg.linalg.soft_threshold`) and one apply.  X(x)
+    one SVD (:func:`~tracereg.linalg.soft_threshold`) and one apply; the
+    Cauchy start costs one more apply.  X(x)
     and X(z) travel with the iterates, X(y) of the extrapolated point
     follows by linearity, so the majorization check needs no operator
     call, and the penalty at z is the sum of the shrunk singular values.
@@ -320,7 +308,7 @@ def solve_path(
     share one measurement shape, run each rung in lockstep: each keeps its
     own adaptive step, momentum, restart and stop state and leaves
     the rung when it stops, and every round takes one prox for each
-    problem still running from one stacked ``eigh`` of their Gram
+    problem still running from one stacked symmetric SVD of their Gram
     matrices (``linalg._soft_threshold_stack``), which matches
     soft_threshold bit for bit.  The secant start is formed ahead of
     either route, so every Estimate equals the one a chain of lone
@@ -455,7 +443,9 @@ def solve_noiseless(ds: Dataset, cfg: SolverConfig = SolverConfig(max_iters=2000
     with exact responses the data-fit term vanishes at the constrained
     optimum, so the final rung approximates the minimum-nuclear-norm
     matrix consistent with the observations.  The relative constraint
-    residual is reported, and converged=False when it exceeds 1e-3.
+    residual is reported.  stop_reason is "max_iters" when any rung was
+    cut at cfg.max_iters, and otherwise the last rung's reason;
+    converged=False when a rung was cut or the residual exceeds 1e-3.
     """
     lam0 = lambda_max(ds)
     if lam0 == 0.0:
@@ -467,17 +457,20 @@ def solve_noiseless(ds: Dataset, cfg: SolverConfig = SolverConfig(max_iters=2000
                         "noiseless", residual=resid)
     ladder = [lam0 / NOISELESS_LADDER_FACTOR**j for j in range(NOISELESS_LADDER_STEPS + 1)]
     path = solve_path([ds], ladder, cfg)
-    (est,) = path[-1]
+    rungs = [est for (est,) in path]
+    est = rungs[-1]
+    cut = any(rung.stop_reason == "max_iters" for rung in rungs)
     resid_num = np.linalg.norm(ds.y - ds.measurements.apply(est.b_hat))
     resid = float(resid_num / max(np.linalg.norm(ds.y), 1e-300))
     return Estimate(
         b_hat=est.b_hat,
         lam=est.lam,
         objective=est.objective,
-        iters=sum(row[0].iters for row in path),
-        converged=resid <= NOISELESS_RESIDUAL_TOL,
+        iters=sum(rung.iters for rung in rungs),
+        converged=resid <= NOISELESS_RESIDUAL_TOL and not cut,
         method="noiseless",
         residual=resid,
+        stop_reason="max_iters" if cut else est.stop_reason,
     )
 
 

@@ -15,7 +15,14 @@ hold whatever path the iterates take.
 Each property runs over the four ensembles with d_r != d_c, for a lone
 solve_convex, cross-validation (lockstep solve_path over the folds,
 secant-started from rung 2 on) and solve_noiseless, all at
-rel_obj_tol=1e-12.  A power-of-two scale changes no rounding at all, so
+rel_obj_tol=1e-12.  The factored solver (rank 2, above the truth's rank
+1) keeps the scaling, permutation and duplication relations too: its
+objective at (c y, c lam, sqrt(c) U, sqrt(c) V) is c^2 times the one at
+(y, lam, U, V), and its spectral start and ridge solves scale alike.  It
+is left out of transposition: a sweep solves for U and then for V, an
+order the transposed problem reverses, so the two walk different
+iterates of a non-convex objective and agree at best to the stop's
+tolerance.  A power-of-two scale changes no rounding at all, so
 its two sides must agree bit for bit.  Otherwise the two sides differ by
 rounding in the data and in the reduction order of apply / adjoint, and
 they agree to the tolerances in TOL, not bit for bit.
@@ -40,6 +47,7 @@ from tracereg import (
     generate_ground_truth,
     lambda_max,
     solve_convex,
+    solve_factored,
     solve_noiseless,
     stream,
 )
@@ -48,6 +56,7 @@ from tracereg.crossval import FoldPlan
 SOLVERS = ["convex", "cv", "noiseless"]
 TIGHT = SolverConfig(max_iters=5000, rel_obj_tol=1e-12)
 NOISELESS = SolverConfig(max_iters=2000, rel_obj_tol=1e-12)
+FACTORED_RANK = 2
 FOLDS = 3
 # a halving grid from the top, as lambda_grid makes: four rungs take a secant start
 CV_FRACS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
@@ -58,8 +67,9 @@ CV_FRACS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 # sqrt(rel_obj_tol) = 1e-6, and a rounding-level change of the data can
 # move the stop by one iteration.  Worst cases measured over 150 random
 # problems of this shape: 3e-14 for the lone convex solve, 1.0e-6 for CV
-# fits, 5.6e-7 for noiseless (9.8e-6 with the plain warm-started ladder).
-TOL = {"convex": 1e-12, "cv": 1e-5, "noiseless": 1e-4}
+# fits, 5.6e-7 for noiseless (9.8e-6 with the plain warm-started ladder),
+# and 2.3e-15 for the factored solve, whose sweep count never moved.
+TOL = {"convex": 1e-12, "cv": 1e-5, "noiseless": 1e-4, "factored": 1e-12}
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
 
@@ -85,6 +95,8 @@ def fits(solver, ds, assignments, top):
     own ladder from lambda_max(ds))."""
     if solver == "convex":
         return [solve_convex(ds, 0.1 * top, TIGHT).b_hat]
+    if solver == "factored":
+        return [solve_factored(ds, 0.1 * top, FACTORED_RANK, TIGHT).b_hat]
     if solver == "cv":
         res = cv_select(ds, FoldPlan(FOLDS, assignments), [frac * top for frac in CV_FRACS], TIGHT)
         return [res.b_cv] + [est.b_hat for row in res.per_fold_estimates for est in row]
@@ -114,33 +126,45 @@ def scaled(ds: Dataset, c: float) -> Dataset:
     return Dataset(ds.spec, ds.measurements, c * ds.y, ds.noise_sigma, ds.seed)
 
 
+def check_response_scaling(solver, data, c):
+    ds, folds = data.draw(problems(solver))
+    top = lambda_max(ds)
+    assert_close(fits(solver, scaled(ds, c), folds, c * top), [c * b for b in fits(solver, ds, folds, top)],
+                 TOL[solver])
+
+
+def check_power_of_two_scaling(solver, data):
+    ds, folds = data.draw(problems(solver))
+    top = lambda_max(ds)
+    for got, want in zip(fits(solver, scaled(ds, 4.0), folds, 4.0 * top), fits(solver, ds, folds, top)):
+        assert np.array_equal(got, 4.0 * want)
+
+
+def check_permuting_or_duplicating(solver, data, twice):
+    ds, folds = data.draw(problems(solver))
+    order = np.repeat(np.arange(ds.n), 2) if twice else np.arange(ds.n)
+    order = np.asarray(data.draw(st.permutations(list(order))))
+    top = lambda_max(ds)
+    # the folds follow their observations, so every fold trains on the same points
+    assert_close(fits(solver, ds.subset(order), folds[order], top), fits(solver, ds, folds, top), TOL[solver])
+
+
 @pytest.mark.parametrize("solver", SOLVERS)
 class TestMetamorphic:
     @SETTINGS
     @given(data=st.data(), c=st.floats(0.01, 100.0))
     def test_response_scaling(self, solver, data, c):
-        ds, folds = data.draw(problems(solver))
-        top = lambda_max(ds)
-        assert_close(fits(solver, scaled(ds, c), folds, c * top), [c * b for b in fits(solver, ds, folds, top)],
-                     TOL[solver])
+        check_response_scaling(solver, data, c)
 
     @SETTINGS
     @given(data=st.data())
     def test_power_of_two_scaling_is_exact(self, solver, data):
-        ds, folds = data.draw(problems(solver))
-        top = lambda_max(ds)
-        for got, want in zip(fits(solver, scaled(ds, 4.0), folds, 4.0 * top), fits(solver, ds, folds, top)):
-            assert np.array_equal(got, 4.0 * want)
+        check_power_of_two_scaling(solver, data)
 
     @SETTINGS
     @given(data=st.data(), twice=st.booleans())
     def test_permuting_or_duplicating_observations(self, solver, data, twice):
-        ds, folds = data.draw(problems(solver))
-        order = np.repeat(np.arange(ds.n), 2) if twice else np.arange(ds.n)
-        order = np.asarray(data.draw(st.permutations(list(order))))
-        top = lambda_max(ds)
-        # the folds follow their observations, so every fold trains on the same points
-        assert_close(fits(solver, ds.subset(order), folds[order], top), fits(solver, ds, folds, top), TOL[solver])
+        check_permuting_or_duplicating(solver, data, twice)
 
     @SETTINGS
     @given(data=st.data())
@@ -150,3 +174,23 @@ class TestMetamorphic:
         top = lambda_max(ds)
         assert_close(fits(solver, transposed(ds), folds, top), [b.T for b in fits(solver, ds, folds, top)],
                      TOL[solver])
+
+
+class TestFactored:
+    """The relations of TestMetamorphic for solve_factored, all but
+    transposition (see the module docstring)."""
+
+    @SETTINGS
+    @given(data=st.data(), c=st.floats(0.01, 100.0))
+    def test_response_scaling(self, data, c):
+        check_response_scaling("factored", data, c)
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_power_of_two_scaling_is_exact(self, data):
+        check_power_of_two_scaling("factored", data)
+
+    @SETTINGS
+    @given(data=st.data(), twice=st.booleans())
+    def test_permuting_or_duplicating_observations(self, data, twice):
+        check_permuting_or_duplicating("factored", data, twice)

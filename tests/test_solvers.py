@@ -30,8 +30,8 @@ from tracereg import (
     stream,
     trace_inner,
 )
-from tracereg import DenseSet, solvers
-from tracereg.solvers import _power_iteration, lipschitz_estimate
+from tracereg import crossval, solvers
+from tracereg.solvers import lipschitz_estimate
 from tracereg.theory import calibrate_lambda0
 
 
@@ -195,13 +195,62 @@ def assert_same_estimate(a, b):
     )
 
 
-def scaled_pair(seed=40, d=6, n=80, factor=10.0):
-    """Two Gaussian problems of one shape whose Lipschitz constants differ
-    by factor**2: the second has every measurement scaled by ``factor``."""
-    b_star = generate_ground_truth(d, d, 1, stream(seed))
-    ds = generate_dataset(GaussianEnsemble(d, d), b_star, n, 0.1, seed=seed + 1)
-    big = Dataset(ds.spec, DenseSet(factor * ds.measurements.mats), factor * ds.y, ds.noise_sigma, ds.seed)
-    return ds, big
+def bump(out, entry, singulars):
+    """Raise prox output ``out`` at an ``entry`` no measurement sees and
+    write its singular values to ``singulars``: the loss cannot tell, the
+    penalty rises, so from the solution neither a step nor its majorized
+    restart descends."""
+    out[entry] += 10.0 * (1.0 + np.max(np.abs(out)))
+    singulars[...] = np.linalg.svd(out, compute_uv=False)
+    return out
+
+
+def bumped_soft_threshold(entry, taus=None):
+    """soft_threshold with every output bumped; ``taus`` collects the
+    threshold of each call."""
+
+    def prox(m, tau, singulars=None):
+        if taus is not None:
+            taus.append(tau)
+        return bump(soft_threshold(m, tau), entry, singulars)
+
+    return prox
+
+
+def at_the_solution(seed):
+    """(ds, lam, x_opt, entry): a matrix-completion problem, its solution
+    at lam, and an entry no measurement sees.  Started at x_opt with prox
+    outputs bumped at ``entry``, a solve stalls in its first iteration."""
+    _, _, ds = mc_instance(d=12, n=60, seed=seed)
+    lam = 0.2 * lambda_max(ds)
+    x_opt = solve_convex(ds, lam, SolverConfig(rel_obj_tol=1e-13)).b_hat
+    seen = np.zeros(ds.measurements.shape, dtype=bool)
+    seen[ds.measurements.rows, ds.measurements.cols] = True
+    return ds, lam, x_opt, tuple(np.argwhere(~seen)[0])
+
+
+def stalling_batch(seed):
+    """(datasets, lam, x0s, entry): two same-shape problems, the first
+    started from zero, the second as :func:`at_the_solution` sets it up."""
+    ds, lam, x_opt, entry = at_the_solution(seed)
+    _, _, other = mc_instance(d=12, n=60, seed=seed + 1)
+    return [other, ds], lam, [None, x_opt], entry
+
+
+def bumping_stack(entry, sizes=None):
+    """The stacked prox with the second problem's outputs bumped while it
+    is in the batch; ``sizes`` collects the batch size of each call."""
+    real = solvers._soft_threshold_stack
+
+    def stack(ms, taus, singulars=None):
+        outs = real(ms, taus, singulars=singulars)
+        if sizes is not None:
+            sizes.append(len(ms))
+        if len(ms) == 2:
+            bump(outs[1], entry, singulars[1])
+        return outs
+
+    return stack
 
 
 class TestStopReason:
@@ -212,25 +261,25 @@ class TestStopReason:
         cut = solve_convex(ds, 0.05 * lambda_max(ds), SolverConfig(max_iters=3, rel_obj_tol=1e-14))
         assert cut.stop_reason == "max_iters" and not cut.converged
 
-    def test_stalled_lone_solve(self):
-        # a step 100x past 1/L with no backtracking cannot descend
-        _, _, ds = mc_instance(seed=14)
-        cfg = SolverConfig(step=100.0 / lipschitz_estimate(ds), backtracking=False)
-        est = solve_convex(ds, 0.2 * lambda_max(ds), cfg)
+    def test_stalled_lone_solve(self, monkeypatch):
+        # from the solution, bumped prox outputs cannot descend
+        ds, lam, x_opt, entry = at_the_solution(seed=14)
+        monkeypatch.setattr(solvers, "soft_threshold", bumped_soft_threshold(entry))
+        est = solve_convex(ds, lam, x0=x_opt)
         assert est.stop_reason == "stalled"
         assert est.converged  # unchanged meaning: a stalled solve reports converged
         assert est.iters == 1 and est.history == (est.objective,)
 
-    def test_stalled_fold_inside_a_batch(self):
-        # one step size: 1/L for the first problem, 100/L for the second
-        ds, big = scaled_pair()
-        cfg = SolverConfig(step=1.0 / lipschitz_estimate(ds), backtracking=False)
-        lam = 0.2 * lambda_max(ds)
-        batch = solve_path([ds, big], [lam], cfg)[0]
+    def test_stalled_fold_inside_a_batch(self, monkeypatch):
+        datasets, lam, x0s, entry = stalling_batch(seed=40)
+        monkeypatch.setattr(solvers, "_soft_threshold_stack", bumping_stack(entry))
+        batch = solve_path(datasets, [lam], x0s=x0s)[0]
+        monkeypatch.undo()
         assert [est.stop_reason for est in batch] == ["rel_dec", "stalled"]
         assert batch[0].iters > 1
-        for est, lone in zip(batch, (ds, big)):
-            assert_same_estimate(est, solve_convex(lone, lam, cfg))
+        assert_same_estimate(batch[0], solve_convex(datasets[0], lam))
+        monkeypatch.setattr(solvers, "soft_threshold", bumped_soft_threshold(entry))
+        assert_same_estimate(batch[1], solve_convex(datasets[1], lam, x0=x0s[1]))
 
     def test_factored_stop_reason(self):
         _, _, ds = mc_instance(seed=15)
@@ -243,6 +292,13 @@ def ensemble_instance(kind, d_r=7, d_c=5, n=60, seed=0):
     """A noisy rank-2 problem of ensemble ``kind``."""
     b_star = generate_ground_truth(d_r, d_c, 2, stream(seed))
     return generate_dataset(ENSEMBLES[kind](d_r, d_c), b_star, n, 0.3, seed=seed + 1)
+
+
+def exact_lipschitz(ds):
+    """Lipschitz constant of the loss gradient, the largest eigenvalue of
+    (2/n) X*X, from the densified measurements."""
+    design = ds.measurements.densify().reshape(ds.n, -1)
+    return 2.0 / ds.n * float(np.linalg.eigvalsh(design.T @ design)[-1])
 
 
 def fixed_step_fista(ds, lam, step, max_iters, rel_obj_tol):
@@ -311,8 +367,8 @@ class TestAdaptiveStep:
         accepted = []
         real = solvers._prox_step
 
-        def recording(ds, lam, b, xb, step, adaptive):
-            z, xz, fz, taken = yield from real(ds, lam, b, xb, step, adaptive)
+        def recording(ds, lam, b, xb, step):
+            z, xz, fz, taken = yield from real(ds, lam, b, xb, step)
             accepted.append((b, z, taken))
             return z, xz, fz, taken
 
@@ -335,18 +391,20 @@ class TestAdaptiveStep:
         for frac in (0.05, 0.3):
             lam = frac * lambda_max(ds)
             adaptive = solve_convex(ds, lam, tight)
-            fixed = solve_convex(ds, lam, SolverConfig(rel_obj_tol=1e-12, backtracking=False))
-            assert adaptive.stop_reason == fixed.stop_reason == "rel_dec"
-            assert adaptive.objective == pytest.approx(fixed.objective, rel=1e-9, abs=0.0)
+            _, history, stop = fixed_step_fista(ds, lam, 1.0 / exact_lipschitz(ds), tight.max_iters, tight.rel_obj_tol)
+            assert adaptive.stop_reason == stop == "rel_dec"
+            assert adaptive.objective == pytest.approx(history[-1], rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("kind", sorted(ENSEMBLES))
-    @pytest.mark.parametrize("step_scale", [1.0, 4.0])
-    def test_fixed_step_iterates_are_plain_fista(self, kind, step_scale):
-        # step_scale 4 overshoots 1/L, so restarts (and possibly a stall) occur
+    @pytest.mark.parametrize("shrink", [1.0, 4.0])
+    def test_fixed_step_iterates_are_plain_fista(self, kind, shrink, monkeypatch):
+        # with no growth, a start step of 1/(shrink L) majorizes every
+        # output, so no step is halved and the step stays fixed throughout
         ds = ensemble_instance(kind, seed=6)
         lam = 0.1 * lambda_max(ds)
-        step = step_scale / lipschitz_estimate(ds)
-        est = solve_convex(ds, lam, SolverConfig(step=step, backtracking=False, max_iters=300))
+        step = 1.0 / (shrink * exact_lipschitz(ds))
+        monkeypatch.setattr(solvers, "STEP_GROWTH", 1.0)
+        est = solve_convex(ds, lam, SolverConfig(step=step, max_iters=300))
         b_hat, history, stop = fixed_step_fista(ds, lam, step, 300, SolverConfig().rel_obj_tol)
         assert np.array_equal(est.b_hat, b_hat)
         assert est.history == history and est.stop_reason == stop
@@ -366,13 +424,28 @@ class TestAdaptiveStep:
             solve_convex(ds, 0.2 * lambda_max(ds))
         assert max(taken) > 2.0 / lipschitz_estimate(ds)
 
+    def test_first_step_is_the_cauchy_step(self):
+        _, _, ds = mc_instance(seed=24)
+        ms = ds.measurements
+        b = np.zeros(ms.shape)
+        xb = ms.apply(b)
+        grad = ms.adjoint(xb - ds.y) * (2.0 / ds.n)
+        xg = ms.apply(grad)
+        cauchy = float(np.vdot(grad, grad)) / (2.0 / ds.n * float(xg @ xg))
+        m, tau = next(solvers._prox_step(ds, 0.5, b, xb, None))
+        assert tau == 0.5 * cauchy and np.array_equal(m, b - cauchy * grad)
+        assert cauchy >= 1.0 / exact_lipschitz(ds)
+        # at a zero gradient the step falls back to 1
+        _, tau = next(solvers._prox_step(ds, 0.5, b, ds.y.copy(), None))
+        assert tau == 0.5
+
     def test_an_output_equal_to_its_base_is_accepted(self):
         # X(b) as the iterates carry it may differ from a fresh apply by
         # rounding; a prox that returns b itself must not halve forever
         _, _, ds = mc_instance(seed=23)
         b = np.zeros(ds.measurements.shape)
         xb = ds.measurements.apply(b) + 1e-12
-        step_gen = solvers._prox_step(ds, 0.1, b, xb, 1.0, True)
+        step_gen = solvers._prox_step(ds, 0.1, b, xb, 1.0)
         next(step_gen)
         with pytest.raises(StopIteration) as done:
             step_gen.send((b.copy(), np.zeros(12)))
@@ -384,23 +457,9 @@ class TestAdaptiveStep:
         # entry no measurement sees: the loss cannot tell, the penalty rises,
         # so neither the step nor the majorized restart descends.  The
         # solve stops after that one restart instead of halving the step.
-        _, _, ds = mc_instance(d=12, n=60, seed=22)
-        lam = 0.2 * lambda_max(ds)
-        x_opt = solve_convex(ds, lam, SolverConfig(rel_obj_tol=1e-13)).b_hat
-        ms = ds.measurements
-        seen = np.zeros(ms.shape, dtype=bool)
-        seen[ms.rows, ms.cols] = True
-        i, j = np.argwhere(~seen)[0]
+        ds, lam, x_opt, entry = at_the_solution(seed=22)
         proxes = []
-
-        def bumped(m, tau, singulars=None):
-            out = soft_threshold(m, tau)
-            out[i, j] += 10.0 * (1.0 + np.max(np.abs(out)))
-            singulars[:] = np.linalg.svd(out, compute_uv=False)
-            proxes.append(tau)
-            return out
-
-        monkeypatch.setattr(solvers, "soft_threshold", bumped)
+        monkeypatch.setattr(solvers, "soft_threshold", bumped_soft_threshold(entry, proxes))
         est = solve_convex(ds, lam, x0=x_opt)
         assert est.stop_reason == "stalled" and est.iters == 1
         assert len(proxes) == 2
@@ -421,18 +480,11 @@ class TestSolveConvexBatch:
                 assert_same_estimate(est, solve_convex(part, lam, cfg, x0=x0))
 
     def test_finished_problem_leaves_the_batch(self, monkeypatch):
-        ds, big = scaled_pair(seed=42)
-        cfg = SolverConfig(step=1.0 / lipschitz_estimate(ds), backtracking=False)
+        datasets, lam, x0s, entry = stalling_batch(seed=42)
         sizes = []
-        real = solvers._soft_threshold_stack
-
-        def stack(ms, taus, singulars=None):
-            sizes.append(len(ms))
-            return real(ms, taus, singulars=singulars)
-
-        monkeypatch.setattr(solvers, "_soft_threshold_stack", stack)
+        monkeypatch.setattr(solvers, "_soft_threshold_stack", bumping_stack(entry, sizes))
         monkeypatch.setattr(solvers, "soft_threshold", None)  # the batch never takes the lone route
-        batch = solve_path([ds, big], [0.2 * lambda_max(ds)], cfg)[0]
+        batch = solve_path(datasets, [lam], x0s=x0s)[0]
         assert batch[1].stop_reason == "stalled"
         # the stalled problem takes a step and a restart, then leaves
         assert sizes[:2] == [2, 2] and set(sizes[2:]) == {1}
@@ -536,36 +588,20 @@ class TestSolvePath:
             solve_path([ds, ds], grid)
 
 
-@pytest.fixture()
-def power_runs(monkeypatch):
-    """Measurement sets handed to the power iteration, in call order."""
-    runs = []
-    monkeypatch.setattr(solvers, "_power_iteration", lambda ms, iters: runs.append(ms) or _power_iteration(ms, iters))
-    return runs
-
-
 class TestLipschitzEstimate:
-    def test_memoized_per_measurement_set(self, monkeypatch):
-        _, _, ds = mc_instance(seed=31)
-        first = lipschitz_estimate(ds)
-        applies = []
-        real_apply = ds.measurements.apply
-        monkeypatch.setattr(ds.measurements, "apply", lambda b: applies.append(1) or real_apply(b))
-        assert lipschitz_estimate(ds) == first
-        assert not applies
+    def test_no_solver_calls_it(self, monkeypatch):
+        # the solvers start from the Cauchy step, so the power iteration is
+        # left to callers that set explicit steps and bounds
+        def refuse(ds):
+            raise AssertionError("a solver called lipschitz_estimate")
 
-    def test_subset_estimated_afresh(self, power_runs):
-        _, _, ds = mc_instance(seed=32)
-        lipschitz_estimate(ds)
-        sub = ds.subset(np.arange(0, ds.n, 2))
-        assert lipschitz_estimate(sub) == lipschitz_estimate(sub) == _power_iteration(sub.measurements, 20)
-        assert power_runs == [ds.measurements, sub.measurements]
-
-    def test_one_power_iteration_per_noiseless_solve(self, power_runs):
+        monkeypatch.setattr(solvers, "lipschitz_estimate", refuse)
         b_star = generate_ground_truth(10, 10, 2, stream(33))
         ds = generate_dataset(GaussianEnsemble(10, 10), b_star, 150, 0.0, seed=34)
-        solve_noiseless(ds)
-        assert power_runs == [ds.measurements]
+        assert solve_noiseless(ds).converged
+        _, _, noisy = mc_instance(seed=32)
+        plan = crossval.make_folds(noisy.n, 3, stream(35))
+        assert crossval.cv_select(noisy, plan, crossval.lambda_grid(noisy, 0.05 * lambda_max(noisy))).converged
 
 
 class TestSolveFactored:
@@ -648,6 +684,20 @@ class TestSolveNoiseless:
         est = solve_noiseless(ds)
         rel_sq = np.sum((est.b_hat - b_star) ** 2) / np.sum(b_star**2)
         assert rel_sq > 0.1
+
+    def test_reports_a_rung_cut_at_max_iters(self):
+        b_star = generate_ground_truth(10, 10, 2, stream(33))
+        ds = generate_dataset(GaussianEnsemble(10, 10), b_star, 150, 0.0, seed=34)
+        est = solve_noiseless(ds, SolverConfig(max_iters=3))
+        assert est.stop_reason == "max_iters" and not est.converged
+        # at 10 iterations only rungs 1-4 are cut; the last rung stops on
+        # rel_dec with a residual within tolerance, and the cut still shows
+        early = solve_noiseless(ds, SolverConfig(max_iters=10))
+        assert early.residual <= solvers.NOISELESS_RESIDUAL_TOL
+        assert early.stop_reason == "max_iters" and not early.converged
+        done = solve_noiseless(ds)
+        assert done.stop_reason == "rel_dec" and done.converged
+        assert done.residual <= solvers.NOISELESS_RESIDUAL_TOL
 
     def test_inconsistent_data_flags_nonconvergence(self):
         # same entry observed twice with contradictory responses
