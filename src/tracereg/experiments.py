@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import warnings
 from dataclasses import asdict, dataclass, replace
 
@@ -95,6 +94,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimators: {sorted(unknown)}")
         if cfg.experiment == "exact_recovery" and cfg.sigma != 0.0:
             raise ConfigError("exact_recovery requires sigma = 0")
+        theory = [name for name in cfg.estimators if name.startswith("theory")]
+        if cfg.experiment == "figure1" and cfg.sigma == 0.0 and theory:
+            # the calibrated noise quantile, and so every theory lambda, is 0
+            raise ConfigError(f"sigma = 0 calibrates lambda to 0 for {','.join(theory)}; need sigma > 0")
         return cfg
 
 
@@ -176,10 +179,11 @@ def _calibration_quantile(cfg: ExperimentConfig, spec: EnsembleSpec, n: int) -> 
     os.makedirs(cfg.out_dir, exist_ok=True)
     payload = {"quantile_value": value, "reps": cfg.calib_reps, "quantile": cfg.calib_quantile}
     # write beside the target, then rename over it, so an interrupted run
-    # never leaves a truncated cache file behind
-    fd, tmp = tempfile.mkstemp(dir=cfg.out_dir, prefix=key + ".", suffix=".tmp")
+    # never leaves a truncated cache file behind; a plain open (not
+    # mkstemp's 0600) gives it the umask's mode, as every other output gets
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp, "x", encoding="utf-8") as fh:
             json.dump(payload, fh)
         os.replace(tmp, path)
     finally:

@@ -182,12 +182,12 @@ def svd(m) -> SvdFactors:
     return SvdFactors(left=u, singulars=s, right=vh.T)
 
 
-def numerical_rank(m, rtol: float = RANK_RTOL) -> int:
-    """Count singular values above rtol times the largest one."""
+def numerical_rank(m) -> int:
+    """Count singular values above RANK_RTOL times the largest one."""
     s = np.linalg.svd(_as_matrix(m), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 def soft_threshold(m, tau: float, singulars: np.ndarray | None = None) -> np.ndarray:

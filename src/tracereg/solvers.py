@@ -16,9 +16,9 @@ not exceed the loss at the target matrix.
 
 The convex solve is written once, as a generator that yields its prox
 inputs; ``solve_convex`` drives one of them through ``soft_threshold``.
-``solve_path`` walks a decreasing lam grid with warm starts, the one
-walk behind cross-validation, the figure1 oracle and the noiseless
-continuation ladder; from its third rung on it starts each rung from the
+``solve_path`` walks a decreasing lam grid from zero with warm starts,
+the one walk behind cross-validation, the figure1 oracle and the
+noiseless continuation ladder; from its third rung on it starts each rung from the
 secant prediction of the last two solutions (the predictor step of
 numerical continuation), not from the last solution itself.  It runs
 several same-shape problems (the K cross-validation folds) in lockstep,
@@ -56,26 +56,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls shared by the solvers.
-
-    The convex solver's step starts at ``step``, or with step=None at the
-    Cauchy step along the first gradient, and then adapts: a proximal
-    step whose output the quadratic model at its base point does not
-    majorize is halved and retried from the same gradient, and after each
-    iteration the step grows by ``STEP_GROWTH``.
-    """
+    """Iteration controls shared by the solvers: the iteration cap and the
+    relative objective decrease below which a solve stops."""
 
     max_iters: int = 5000
     rel_obj_tol: float = 1e-8
-    step: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not 0.0 < self.rel_obj_tol < 1.0:
             raise ValueError("rel_obj_tol must lie in (0, 1)")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,8 @@ def lambda_max(ds: Dataset) -> float:
 def lipschitz_estimate(ds: Dataset) -> float:
     """Power-iteration estimate of the Lipschitz constant of the smooth
     part's gradient, i.e. the largest eigenvalue of b -> (2/n) X*(X(b)).
-    The solvers do not need it; it sets explicit steps and bounds."""
+    The solvers do not call it; it is the 1/L bound for callers that
+    check a step or a curvature against it."""
     ms = ds.measurements
     b = np.ones(ms.shape)
     b /= np.linalg.norm(b)
@@ -191,7 +183,7 @@ def _apg(ds: Dataset, lam: float, cfg: SolverConfig, x0: np.ndarray | None):
     output with its shrunk singular values, and returns the Estimate; see
     :func:`solve_convex`."""
     ms = ds.measurements
-    step = cfg.step
+    step = None
     if x0 is None:
         x = np.zeros(ms.shape)
         nuclear = 0.0
@@ -256,21 +248,21 @@ def solve_convex(
     working precision with the adaptive step); hitting max_iters first
     ("max_iters") yields converged=False rather than an exception.
 
-    The step starts at cfg.step or, when that is None, at the Cauchy step
-    ||g||^2 / ((2/n)||X(g)||^2) along the first gradient g, which is at
-    least 1/L.  Each proximal output z from a point b is accepted only
-    when (1/n)||X(z) - X(b)||^2 <= ||z - b||^2 / (2 step), which for this
-    quadratic loss is exact majorization; otherwise the step halves and
-    the prox is retried.  After each iteration the step grows by
-    STEP_GROWTH, so it follows the curvature along the path, typically
-    well below L, instead of the worst case over all directions.
+    The step starts at the Cauchy step ||g||^2 / ((2/n)||X(g)||^2) along
+    the first gradient g, which is at least 1/L.  Each proximal output z
+    from a point b is accepted only when (1/n)||X(z) - X(b)||^2 <=
+    ||z - b||^2 / (2 step), which for this quadratic loss is exact
+    majorization; otherwise the step halves and the prox is retried.
+    After each iteration the step grows by STEP_GROWTH, so it follows the
+    curvature along the path, typically well below L, instead of the
+    worst case over all directions.
 
     Each point costs one gradient, one adjoint; each proximal step costs
     one SVD (:func:`~tracereg.linalg.soft_threshold`) and one apply; the
-    Cauchy start costs one more apply.  X(x)
-    and X(z) travel with the iterates, X(y) of the extrapolated point
-    follows by linearity, so the majorization check needs no operator
-    call, and the penalty at z is the sum of the shrunk singular values.
+    Cauchy start costs one more apply.  X(x) and X(z) travel with the
+    iterates, X(y) of the extrapolated point follows by linearity, so the
+    majorization check needs no operator call, and the penalty at z is
+    the sum of the shrunk singular values.
     The lockstep rungs of :func:`solve_path` run the same iteration (one
     ``_apg`` generator) with a stacked prox.
     """
@@ -286,23 +278,18 @@ def solve_convex(
         return done.value
 
 
-def solve_path(
-    datasets,
-    grid,
-    cfg: SolverConfig = SolverConfig(),
-    x0s=None,
-) -> list[list[Estimate]]:
+def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> list[list[Estimate]]:
     """:func:`solve_convex` of every dataset at each lam of a strictly
     decreasing ``grid``, warm-started along it.  Row j of the result holds
     one Estimate per dataset.
 
-    Rung 0 starts from ``x0s`` (one warm start or None per dataset) and
-    rung 1 from rung 0's solutions.  Each later rung j+1 starts from the
-    secant prediction b_j + r_j (b_j - b_{j-1}), r_j = (lam_{j+1} -
-    lam_j) / (lam_j - lam_{j-1}), the predictor step of numerical
-    continuation: the solution path is nearly linear in lam between
-    rungs, so this start lies closer to the rung's solution than b_j does
-    (r_j is 0.5 on a halving grid, 0.2 on a ladder falling 5x per rung).
+    Rung 0 starts from zero and rung 1 from rung 0's solutions.  Each
+    later rung j+1 starts from the secant prediction b_j + r_j (b_j -
+    b_{j-1}), r_j = (lam_{j+1} - lam_j) / (lam_j - lam_{j-1}), the
+    predictor step of numerical continuation: the solution path is
+    nearly linear in lam between rungs, so this start lies closer to the
+    rung's solution than b_j does (r_j is 0.5 on a halving grid, 0.2 on
+    a ladder falling 5x per rung).
 
     One dataset is solved by solve_convex itself.  Several, which must
     share one measurement shape, run each rung in lockstep: each keeps its
@@ -322,12 +309,9 @@ def solve_path(
     if not grid[-1] > 0:
         raise ValueError("lam must be positive for the convex solver")
     datasets = list(datasets)
-    warm = [None] * len(datasets) if x0s is None else list(x0s)
-    if len(warm) != len(datasets):
-        raise ValueError("need one warm start (or None) per dataset")
     if len({ds.measurements.shape for ds in datasets}) > 1:
         raise ValueError("batched problems must share one matrix shape")
-    path = []
+    path, warm = [], [None] * len(datasets)
     for j, lam in enumerate(grid):
         if len(datasets) == 1:
             row = [solve_convex(datasets[0], lam, cfg, warm[0])]

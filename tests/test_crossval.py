@@ -39,7 +39,7 @@ def cold_cv_error(ds: Dataset, plan: FoldPlan, lam: float, cfg: SolverConfig = S
 def stub_path(b_hat: np.ndarray):
     """Stand-in for solvers.solve_path that fits every fold with b_hat."""
 
-    def path(subs, grid, cfg=SolverConfig(), x0s=None):
+    def path(subs, grid, cfg=SolverConfig()):
         return [
             [
                 Estimate(b_hat=b_hat, lam=lam, objective=objective(sub, lam, b_hat), iters=0, converged=True, method="convex")
@@ -287,17 +287,23 @@ class TestLockstepFolds:
         grid = lambda_grid(ds, 0.02 * lambda_max(ds))
         cfg = {
             "default": SolverConfig(max_iters=2000, rel_obj_tol=1e-7),
-            # a step 8x past 1/L forces restarts and backtracking
-            "fixed_step": SolverConfig(step=8.0 / lipschitz_estimate(ds), rel_obj_tol=1e-9),
+            "fixed_step": SolverConfig(rel_obj_tol=1e-9),
             "max_iters": SolverConfig(max_iters=6, rel_obj_tol=1e-14),
         }[mode]
+        if mode == "fixed_step":
+            # every solve, lockstep or lone, starts at a step 8x past 1/L,
+            # which forces restarts and backtracking
+            start, prox_step = 8.0 / lipschitz_estimate(ds), solvers._prox_step
+            monkeypatch.setattr(
+                solvers, "_prox_step", lambda ds, lam, b, xb, step: prox_step(ds, lam, b, xb, start if step is None else step)
+            )
         proxes = []
         real = solvers._soft_threshold_stack
-        monkeypatch.setattr(
-            solvers, "_soft_threshold_stack", lambda ms, taus, singulars=None: proxes.append(len(ms)) or real(ms, taus, singulars)
-        )
-        res = cv_select(ds, plan, grid, cfg)
-        monkeypatch.undo()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                solvers, "_soft_threshold_stack", lambda ms, taus, singulars=None: proxes.append(len(ms)) or real(ms, taus, singulars)
+            )
+            res = cv_select(ds, plan, grid, cfg)
         warm, prev = [None] * plan.k, [None] * plan.k
         for j, lam in enumerate(grid):
             total = 0.0

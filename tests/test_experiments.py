@@ -69,6 +69,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**overrides).validate()
 
+    def test_sigma_zero_rejects_only_the_theory_estimators(self):
+        # at sigma = 0 the calibrated quantile is 0, so every theory lambda is
+        with pytest.raises(ConfigError, match="sigma = 0 .* theory2"):
+            ExperimentConfig(sigma=0.0, estimators=("oracle", "theory2")).validate()
+        ExperimentConfig(sigma=0.0, estimators=("oracle", "cv")).validate()
+
     def test_paper_scale_restores_protocol(self):
         cfg = ExperimentConfig(paper_scale=True).validate()
         assert cfg.replicates == 100
@@ -106,6 +112,17 @@ class TestRunFigure1:
         assert len(cache_files) == 1
         second = run_figure1(cfg)
         assert [rec.relative_error for rec in first] == [rec.relative_error for rec in second]
+
+    def test_calibration_cache_gets_the_mode_of_the_other_outputs(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            assert main(["figure1", "--d", "6", "--r", "1", "--n", "40", "--replicates", "1", "--calib-reps", "10",
+                         "--estimators", "theory1", "--out-dir", str(tmp_path)]) == 0
+        finally:
+            os.umask(umask)
+        (cache,) = [p for p in os.listdir(tmp_path) if p.startswith("calib_")]
+        mode = os.stat(tmp_path / cache).st_mode
+        assert mode == os.stat(tmp_path / "records.csv").st_mode and mode & 0o777 == 0o644
 
     @pytest.mark.parametrize("corrupt", ["", '{"quantile_va', '{"reps": 60}', '{"quantile_value": NaN}'])
     def test_corrupt_calibration_cache_is_recomputed(self, tmp_path, corrupt):
@@ -472,6 +489,24 @@ class TestCli:
         )
         # paper scale overrides the replicate and calibration counts
         assert (cfg.replicates, cfg.calib_reps) == (100, 1000)
+
+    def test_sigma_zero_with_a_theory_estimator_exits_2_before_writing(self, tmp_path, capsys):
+        argv = ["figure1", "--d", "4", "--r", "1", "--n", "20", "--replicates", "1", "--calib-reps", "10", "--sigma", "0"]
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: sigma = 0")
+        assert not out.exists()
+        assert main([*argv, "--estimators", "oracle,cv", "--out-dir", str(out)]) == 0
+        assert (out / "records.csv").exists()
+
+    def test_infeasible_rsc_probe_floor_exits_2_with_one_line(self, tmp_path, capsys):
+        # a 1000x multiplier puts the constraint-set floor nu beyond any 6x6 draw
+        argv = ["rsc-probe", "--d", "6", "--n", "50", "--calib-reps", "20", "--trials", "5", "--multiplier", "1000"]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: failed to sample the constraint set; nu may exceed its feasible range"
+        ]
 
     def test_io_error_exit_code(self):
         code = main(

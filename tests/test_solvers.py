@@ -42,6 +42,18 @@ def mc_instance(d=12, r=2, n=400, sigma=0.2, seed=0, plain=True):
     return spec, b_star, ds
 
 
+def start_at(mp, step):
+    """Start every convex solve at ``step`` in place of the Cauchy step: the
+    first _prox_step of a solve, the one called with step None, gets
+    ``step`` (None keeps the Cauchy start)."""
+    real = solvers._prox_step
+
+    def forced(ds, lam, b, xb, taken):
+        return (yield from real(ds, lam, b, xb, step if taken is None else taken))
+
+    mp.setattr(solvers, "_prox_step", forced)
+
+
 class TestObjective:
     def test_zero_matrix(self):
         _, _, ds = mc_instance()
@@ -165,7 +177,7 @@ class TestSolveConvex:
         _, _, ds = mc_instance(seed=30)
         lam = 0.2 * lambda_max(ds)
         x0 = solve_convex(ds, 2 * lam).b_hat if warm else None
-        cfg = SolverConfig(step=step_scale / lipschitz_estimate(ds))
+        start_at(monkeypatch, step_scale / lipschitz_estimate(ds))
         counts = {"prox": 0, "svd": 0, "op": 0}
 
         def counted(key, fn):
@@ -180,7 +192,7 @@ class TestSolveConvex:
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         monkeypatch.setattr(ms, "apply", counted("op", ms.apply))
         monkeypatch.setattr(ms, "adjoint", counted("op", ms.adjoint))
-        est = solve_convex(ds, lam, cfg, x0=x0)
+        est = solve_convex(ds, lam, x0=x0)
         assert est.converged and counts["prox"] >= est.iters > 0
         assert counts["svd"] <= counts["prox"] + 1
         assert counts["op"] <= 2 * counts["prox"] + 2
@@ -273,7 +285,7 @@ class TestStopReason:
     def test_stalled_fold_inside_a_batch(self, monkeypatch):
         datasets, lam, x0s, entry = stalling_batch(seed=40)
         monkeypatch.setattr(solvers, "_soft_threshold_stack", bumping_stack(entry))
-        batch = solve_path(datasets, [lam], x0s=x0s)[0]
+        batch = solvers._lockstep_rung(datasets, lam, SolverConfig(), x0s)
         monkeypatch.undo()
         assert [est.stop_reason for est in batch] == ["rel_dec", "stalled"]
         assert batch[0].iters > 1
@@ -363,18 +375,19 @@ class TestAdaptiveStep:
         b_star = generate_ground_truth(d_r, d_c, 1, stream(seed))
         ds = generate_dataset(ENSEMBLES[kind](d_r, d_c), b_star, n, 0.3, seed=seed)
         lam = frac * lambda_max(ds)
-        cfg = SolverConfig() if step_scale is None else SolverConfig(step=step_scale / lipschitz_estimate(ds))
+        start = None if step_scale is None else step_scale / lipschitz_estimate(ds)
         accepted = []
         real = solvers._prox_step
 
         def recording(ds, lam, b, xb, step):
-            z, xz, fz, taken = yield from real(ds, lam, b, xb, step)
+            # a solve's first prox step (step None) starts at ``start``
+            z, xz, fz, taken = yield from real(ds, lam, b, xb, start if step is None else step)
             accepted.append((b, z, taken))
             return z, xz, fz, taken
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "_prox_step", recording)
-            est = solve_convex(ds, lam, cfg)
+            est = solve_convex(ds, lam)
         assert est.converged and len(accepted) >= est.iters
         for b, z, taken in accepted:
             move = z - b
@@ -404,7 +417,8 @@ class TestAdaptiveStep:
         lam = 0.1 * lambda_max(ds)
         step = 1.0 / (shrink * exact_lipschitz(ds))
         monkeypatch.setattr(solvers, "STEP_GROWTH", 1.0)
-        est = solve_convex(ds, lam, SolverConfig(step=step, max_iters=300))
+        start_at(monkeypatch, step)
+        est = solve_convex(ds, lam, SolverConfig(max_iters=300))
         b_hat, history, stop = fixed_step_fista(ds, lam, step, 300, SolverConfig().rel_obj_tol)
         assert np.array_equal(est.b_hat, b_hat)
         assert est.history == history and est.stop_reason == stop
@@ -474,17 +488,20 @@ class TestSolveConvexBatch:
         parts = [ds.subset(np.arange(i, ds.n, 3)) for i in range(3)]
         lam = 0.2 * lambda_max(ds)
         x0s = [None, solve_convex(parts[1], 2 * lam).b_hat, np.zeros(ds.measurements.shape)]
-        for cfg in (SolverConfig(), SolverConfig(step=4.0 / lipschitz_estimate(ds)), SolverConfig(max_iters=4)):
-            batch = solve_path(parts, [lam], cfg, x0s)[0]
-            for part, x0, est in zip(parts, x0s, batch):
-                assert_same_estimate(est, solve_convex(part, lam, cfg, x0=x0))
+        for cfg, start in ((SolverConfig(), None), (SolverConfig(), 4.0 / lipschitz_estimate(ds)),
+                           (SolverConfig(max_iters=4), None)):
+            with pytest.MonkeyPatch.context() as mp:
+                start_at(mp, start)
+                batch = solvers._lockstep_rung(parts, lam, cfg, x0s)
+                for part, x0, est in zip(parts, x0s, batch):
+                    assert_same_estimate(est, solve_convex(part, lam, cfg, x0=x0))
 
     def test_finished_problem_leaves_the_batch(self, monkeypatch):
         datasets, lam, x0s, entry = stalling_batch(seed=42)
         sizes = []
         monkeypatch.setattr(solvers, "_soft_threshold_stack", bumping_stack(entry, sizes))
         monkeypatch.setattr(solvers, "soft_threshold", None)  # the batch never takes the lone route
-        batch = solve_path(datasets, [lam], x0s=x0s)[0]
+        batch = solvers._lockstep_rung(datasets, lam, SolverConfig(), x0s)
         assert batch[1].stop_reason == "stalled"
         # the stalled problem takes a step and a restart, then leaves
         assert sizes[:2] == [2, 2] and set(sizes[2:]) == {1}
@@ -495,19 +512,17 @@ class TestSolveConvexBatch:
         _, _, other = mc_instance(d=8, seed=18)
         with pytest.raises(ValueError, match="one matrix shape"):
             solve_path([ds, other], [1.0])[0]
-        with pytest.raises(ValueError, match="warm start"):
-            solve_path([ds, ds], [1.0], x0s=[None])[0]
         with pytest.raises(ValueError, match="positive"):
             solve_path([ds], [0.0])[0]
         assert solve_path([], [1.0])[0] == []
 
 
-def secant_chain(ds, grid, cfg=SolverConfig(), x0=None):
+def secant_chain(ds, grid, cfg=SolverConfig()):
     """Reference for solve_path on one dataset: lone solve_convex calls,
-    rung 0 from x0, rung 1 from rung 0's solution and each later rung j+1
+    rung 0 from zero, rung 1 from rung 0's solution and each later rung j+1
     from the secant start b_j + r_j (b_j - b_{j-1}), r_j = (lam_{j+1} -
     lam_j) / (lam_j - lam_{j-1})."""
-    chain, warm = [], x0
+    chain, warm = [], None
     for j, lam in enumerate(grid):
         chain.append(solve_convex(ds, lam, cfg, x0=warm))
         warm = chain[-1].b_hat
@@ -521,26 +536,24 @@ class TestSolvePath:
     def test_one_dataset_is_a_warm_started_chain_of_solve_convex(self, monkeypatch):
         _, _, ds = mc_instance(seed=19)
         grid = [0.5 * lambda_max(ds), 0.2 * lambda_max(ds), 0.05 * lambda_max(ds)]
-        x0 = np.full(ds.measurements.shape, 0.1)
         monkeypatch.setattr(solvers, "_soft_threshold_stack", None)  # one dataset takes the lone route
-        path = solve_path([ds], grid, x0s=[x0])
+        path = solve_path([ds], grid)
         monkeypatch.undo()
         assert [len(row) for row in path] == [1, 1, 1]
-        for (est,), lone in zip(path, secant_chain(ds, grid, x0=x0)):
+        for (est,), lone in zip(path, secant_chain(ds, grid)):
             assert_same_estimate(est, lone)
 
     @pytest.mark.parametrize("sets", [1, 2])
     @pytest.mark.parametrize("rungs", [2, 3])
     def test_first_two_rungs_are_a_plain_chain(self, sets, rungs):
         # rung 1 starts from rung 0's solution, never from a secant through
-        # x0s, so a two-rung grid is the plain warm-started chain
+        # rung 0's zero start, so a two-rung grid is the plain warm-started chain
         _, _, ds = mc_instance(seed=36)
         datasets = [ds, ds.subset(np.arange(0, ds.n, 2))][:sets]
         grid = [frac * lambda_max(ds) for frac in (0.5, 0.2, 0.05)][:rungs]
-        x0 = np.full(ds.measurements.shape, 0.1)
-        path = solve_path(datasets, grid, x0s=[x0] * sets)
+        path = solve_path(datasets, grid)
         for i, part in enumerate(datasets):
-            first = solve_convex(part, grid[0], x0=x0)
+            first = solve_convex(part, grid[0])
             assert_same_estimate(path[0][i], first)
             assert_same_estimate(path[1][i], solve_convex(part, grid[1], x0=first.b_hat))
 
@@ -591,7 +604,7 @@ class TestSolvePath:
 class TestLipschitzEstimate:
     def test_no_solver_calls_it(self, monkeypatch):
         # the solvers start from the Cauchy step, so the power iteration is
-        # left to callers that set explicit steps and bounds
+        # left to callers that check a step or curvature against 1/L
         def refuse(ds):
             raise AssertionError("a solver called lipschitz_estimate")
 

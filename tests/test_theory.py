@@ -131,7 +131,25 @@ class TestNoiseQuantile:
             theory._noise_quantile(GaussianEnsemble(3, 3), 10, 1.0, reps, quantile, stream(0))
 
 
+def former_sketch_draws(spec, n, reps, rng):
+    """Reference for rademacher_sketch's draws: its sign-flip loop written
+    out on its own, apart from the calibration's noise-matrix loop."""
+    draws = np.empty(reps)
+    for i in range(reps):
+        ms = spec.sample_batch(n, rng)
+        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        draws[i] = operator_norm(ms.adjoint(signs) / n)
+    return draws
+
+
 class TestRademacherSketch:
+    @pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+    def test_draws_match_the_former_loop(self, kind):
+        spec = ENSEMBLES[kind](7, 5)
+        sketch = rademacher_sketch(spec, 40, 12, stream(41))
+        assert np.array_equal(sketch.draws, former_sketch_draws(spec, 40, 12, stream(41)))
+        assert sketch.mean_op_norm == float(np.mean(sketch.draws))
+
     def test_single_measurement_sign_invariance(self):
         spec = GaussianEnsemble(5, 5)
         sketch = rademacher_sketch(spec, 1, 2000, stream(7))
@@ -296,7 +314,7 @@ class TestRscProbe:
     def test_infeasible_floor_raises(self):
         spec = MatrixCompletion(6, 6)
         ds = generate_dataset(spec, np.eye(6), 100, 0.0, seed=31)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="constraint set"):
             rsc_probe(ds, 10.0, 72.0, 3, stream(32), sketch_reps=4)
 
 
