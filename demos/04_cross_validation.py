@@ -27,6 +27,9 @@ print("fold sizes:", plan.sizes().tolist())
 grid = lambda_grid(ds, 0.01 * lambda_max(ds))
 result = cv_select(ds, plan, grid)  # the K fold fits walk the grid in lockstep
 
+# the walk stops once the error has risen at two consecutive rungs, so
+# the table ends two rungs after the minimum, not at the grid's floor
+
 print("\n lambda      out-of-fold error")
 for lam, err in zip(result.lambda_grid, result.e_hat):
     marker = "  <-- selected" if lam == result.lambda_cv else ""

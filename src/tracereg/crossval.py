@@ -5,12 +5,17 @@ is fit on each fold's complement and scored on the held-out fold.  The
 selected estimator averages the K complement fits at the winning lam,
 weighted by fold size.
 
-The K fold fits walk the grid together through ``solvers.solve_path``,
-warm-started from rung to rung (from the third rung on at the secant
-prediction of the fold's last two fits) and solved in lockstep: each
-round takes the K prox steps from one stacked eigendecomposition, and
-every fold's fit is bit-identical to a chain of lone ``solve_convex``
-calls on it from the same starts.
+The K fold fits walk the grid together along ``solvers.solve_path``'s
+walk, warm-started from rung to rung (from the third rung on at the
+secant prediction of the fold's last two fits) and solved in lockstep:
+each round takes the K prox steps from one stacked eigendecomposition,
+and every fold's fit is bit-identical to a chain of lone
+``solve_convex`` calls on it from the same starts.  The walk pulls one
+rung at a time and stops once the out-of-fold error has risen at two
+consecutive rungs, so the rungs past a minimum, the slowest ones on a
+decreasing grid, are never solved; the grid may then run deep enough to
+reach the minimum without that depth being paid for (the early end of
+glmnet's lam path, Friedman, Hastie & Tibshirani 2010).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import Dataset
-from .solvers import Estimate, SolverConfig, lambda_max, solve_path
+from .solvers import Estimate, SolverConfig, _checked_path, _walk_path, lambda_max
 
 __all__ = [
     "FoldPlan",
@@ -77,10 +82,14 @@ def lambda_grid(ds: Dataset, lambda_min: float, top: float | None = None) -> lis
     return grid
 
 
+# consecutive rises of the out-of-fold error after which the walk stops
+CV_STOP_RISES = 2
+
+
 @dataclass(frozen=True)
 class CvResult:
-    """Grid, per-lam out-of-fold errors, the winning lam, the averaged
-    estimator at that lam, and every (fold, lam) fit."""
+    """The grid rungs walked, their out-of-fold errors, the winning lam,
+    the averaged estimator at that lam, and every (fold, lam) fit walked."""
 
     lambda_grid: list[float]
     e_hat: np.ndarray
@@ -91,43 +100,54 @@ class CvResult:
 
 
 def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfig()) -> CvResult:
-    """Compute out-of-fold errors over a strictly decreasing lam grid and
+    """Compute out-of-fold errors down a strictly decreasing lam grid and
     return the fold-size-weighted average estimator at the best lam.
 
-    Each fold's estimator is fit on that fold's complement by
-    :func:`~tracereg.solvers.solve_path` with ``cfg``, so the first lam's
-    fits are cold, the second starts from the first, and each later one
-    starts from the secant prediction b_j + r_j (b_j - b_{j-1}) of the
-    fold's last two fits (r_j = 0.5 on a halving grid).
+    Each fold's estimator is fit on that fold's complement along the
+    walk of :func:`~tracereg.solvers.solve_path` with ``cfg``, so the
+    first lam's fits are cold, the second starts from the first, and each
+    later one starts from the secant prediction b_j + r_j (b_j - b_{j-1})
+    of the fold's last two fits (r_j = 0.5 on a halving grid).
     ``e_hat[j]`` is the per-sample out-of-fold prediction error
     (1/n) sum_k ||y_k - X_k(B_{-k})||^2 at grid[j], stored per sample so it
-    compares directly with per-observation noise levels.  Ties at the
-    minimum go to the largest lam (strongest regularization).
+    compares directly with per-observation noise levels.
+
+    The walk stops after the rung at which ``e_hat`` has risen at two
+    consecutive rungs (a rise is a strict increase over the previous
+    rung; a tie resets the count), and later rungs are never solved.
+    ``lambda_grid``, ``e_hat`` and ``per_fold_estimates`` of the result
+    cover only the rungs walked.  The winner is the minimum over those
+    rungs, ties going to the largest lam (strongest regularization); on
+    an error curve that falls and then rises it is the minimum over the
+    whole grid.
     """
     if len(plan.assignments) != ds.n or np.any((plan.assignments < 0) | (plan.assignments >= plan.k)):
         raise ValueError("fold plan does not cover the dataset")
-    grid = [float(g) for g in grid]
     n = ds.n
     sizes = plan.sizes()
     holds = [ds.subset(plan.indices(fold)) for fold in range(plan.k)]
-    trains = [ds.subset(plan.complement(fold)) for fold in range(plan.k)]
-    estimates = solve_path(trains, grid, cfg)
-    e_hat = np.empty(len(grid))
-    for j, row in enumerate(estimates):
+    trains, grid = _checked_path([ds.subset(plan.complement(fold)) for fold in range(plan.k)], grid)
+    estimates, errors, rises = [], [], 0
+    for row in _walk_path(trains, grid, cfg):
         total = 0.0
         for hold, est in zip(holds, row):
             resid = hold.y - hold.measurements.apply(est.b_hat)
             total += float(resid @ resid)
-        e_hat[j] = total / n
+        rises = rises + 1 if errors and total / n > errors[-1] else 0
+        errors.append(total / n)
+        estimates.append(row)
+        if rises == CV_STOP_RISES:
+            break
+    e_hat = np.array(errors)
     best = 0
-    for j in range(1, len(grid)):
+    for j in range(1, len(e_hat)):
         if e_hat[j] < e_hat[best]:
             best = j
     b_cv = np.zeros(ds.measurements.shape)
     for fold in range(plan.k):
         b_cv += (sizes[fold] / n) * estimates[best][fold].b_hat
     return CvResult(
-        lambda_grid=grid,
+        lambda_grid=grid[: len(estimates)],
         e_hat=e_hat,
         lambda_cv=grid[best],
         b_cv=b_cv,

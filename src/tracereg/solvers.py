@@ -17,10 +17,11 @@ not exceed the loss at the target matrix.
 The convex solve is written once, as a generator that yields its prox
 inputs; ``solve_convex`` drives one of them through ``soft_threshold``.
 ``solve_path`` walks a decreasing lam grid from zero with warm starts,
-the one walk behind cross-validation, the figure1 oracle and the
-noiseless continuation ladder; from its third rung on it starts each rung from the
-secant prediction of the last two solutions (the predictor step of
-numerical continuation), not from the last solution itself.  It runs
+the one walk behind cross-validation (which pulls it rung by rung and
+may stop early), the figure1 oracle and the noiseless continuation
+ladder; from its third rung on it starts each rung from the secant
+prediction of the last two solutions (the predictor step of numerical
+continuation), not from the last solution itself.  It runs
 several same-shape problems (the K cross-validation folds) in lockstep,
 taking each round's prox steps from one stacked symmetric SVD
 (``linalg._soft_threshold_stack``, the routine soft_threshold calls, so
@@ -301,6 +302,13 @@ def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> list[list[
     either route, so every Estimate equals the one a chain of lone
     solve_convex calls from the same starts returns.
     """
+    datasets, grid = _checked_path(datasets, grid)
+    return list(_walk_path(datasets, grid, cfg))
+
+
+def _checked_path(datasets, grid) -> tuple[list[Dataset], list[float]]:
+    """The arguments of :func:`solve_path` as lists, checked eagerly, since
+    :func:`_walk_path` only runs when its first rung is pulled."""
     grid = [float(lam) for lam in grid]
     if not grid:
         raise ValueError("lam grid must be non-empty")
@@ -311,7 +319,15 @@ def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> list[list[
     datasets = list(datasets)
     if len({ds.measurements.shape for ds in datasets}) > 1:
         raise ValueError("batched problems must share one matrix shape")
-    path, warm = [], [None] * len(datasets)
+    return datasets, grid
+
+
+def _walk_path(datasets: list[Dataset], grid: list[float], cfg: SolverConfig):
+    """The rung loop of :func:`solve_path`, on arguments from
+    :func:`_checked_path`: yields each rung's row of Estimates, and solves
+    a rung only when it is pulled, so a caller that stops pulling leaves
+    the later rungs unsolved."""
+    prev, warm = None, [None] * len(datasets)
     for j, lam in enumerate(grid):
         if len(datasets) == 1:
             row = [solve_convex(datasets[0], lam, cfg, warm[0])]
@@ -321,9 +337,9 @@ def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> list[list[
         if j >= 1 and j + 1 < len(grid):
             # secant predictor: extrapolate the last two solutions to the next lam
             r = (grid[j + 1] - lam) / (lam - grid[j - 1])
-            warm = [b + r * (b - prev.b_hat) for b, prev in zip(warm, path[-1])]
-        path.append(row)
-    return path
+            warm = [b + r * (b - est.b_hat) for b, est in zip(warm, prev)]
+        prev = row
+        yield row
 
 
 def _lockstep_rung(datasets: list[Dataset], lam: float, cfg: SolverConfig, x0s: list) -> list[Estimate]:

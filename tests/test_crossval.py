@@ -36,19 +36,20 @@ def cold_cv_error(ds: Dataset, plan: FoldPlan, lam: float, cfg: SolverConfig = S
     return float(cv_select(ds, plan, [lam], cfg).e_hat[0])
 
 
-def stub_path(b_hat: np.ndarray):
-    """Stand-in for solvers.solve_path that fits every fold with b_hat."""
+def stub_path(b_hats, pulled=None):
+    """Stand-in for solvers._walk_path that fits every fold with b_hats[j]
+    at rung j, appending j to ``pulled`` as each rung is pulled."""
 
-    def path(subs, grid, cfg=SolverConfig()):
-        return [
-            [
+    def walk(subs, grid, cfg):
+        for j, (lam, b_hat) in enumerate(zip(grid, b_hats)):
+            if pulled is not None:
+                pulled.append(j)
+            yield [
                 Estimate(b_hat=b_hat, lam=lam, objective=objective(sub, lam, b_hat), iters=0, converged=True, method="convex")
                 for sub in subs
             ]
-            for lam in grid
-        ]
 
-    return path
+    return walk
 
 
 @st.composite
@@ -140,7 +141,7 @@ class TestCvError:
         ms = EntrySet([0, 1, 0, 1], [0, 0, 1, 1], np.ones(4), 2, 2)
         ds = Dataset(MatrixCompletion(2, 2, plain_entries=True), ms, np.zeros(4), 0.0, seed=0)
         plan = FoldPlan(k=2, assignments=np.array([0, 0, 1, 1]))
-        monkeypatch.setattr(crossval, "solve_path", stub_path(np.zeros((2, 2))))
+        monkeypatch.setattr(crossval, "_walk_path", stub_path([np.zeros((2, 2))]))
         assert cold_cv_error(ds, plan, 1.0) == 0.0
 
     def test_matches_hand_rolled_two_fold_oracle(self):
@@ -200,7 +201,7 @@ class TestCvSelect:
     def test_tie_breaks_to_largest_lambda(self, monkeypatch):
         _, ds = self.make_instance(seed=17)
         plan = make_folds(ds.n, 3, stream(18))
-        monkeypatch.setattr(crossval, "solve_path", stub_path(np.zeros((10, 10))))
+        monkeypatch.setattr(crossval, "_walk_path", stub_path([np.zeros((10, 10))] * 3))
         grid = [4.0, 2.0, 1.0]
         res = cv_select(ds, plan, grid)
         assert np.all(res.e_hat == res.e_hat[0])
@@ -262,6 +263,39 @@ class TestCvSelect:
             np.sum((solve_convex(ds, lam).b_hat - b_star) ** 2) / np.sum(b_star**2) for lam in grid
         )
         assert cv_err <= 1.5 * oracle_err
+
+
+class TestStopRule:
+    """cv_select stops the walk at the second consecutive strict rise of
+    the out-of-fold error.  Every observation reads entry (0, 0) of a 2x2
+    matrix with response 0, so fold fits with that entry equal to b score
+    exactly b^2 on every fold; the scripts below are squares of integers."""
+
+    # (scripted e_hat down an 8-rung grid, rungs walked, winning rung)
+    CASES = {
+        "second_rise_stops": ([16, 4, 1, 4, 9, 0, 0, 0], 5, 2),
+        "tie_is_not_a_rise": ([1, 4, 4, 9, 0, 1, 1, 4], 8, 4),
+        "rise_fall_rise_walks_on": ([1, 4, 0, 1, 0, 1, 0, 1], 8, 2),
+        "tie_at_minimum_takes_largest_lam": ([9, 1, 4, 1, 4, 9, 0, 0], 6, 1),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_walk(self, case, monkeypatch):
+        script, walked, best = self.CASES[case]
+        ms = EntrySet(np.zeros(6), np.zeros(6), np.ones(6), 2, 2)
+        ds = Dataset(MatrixCompletion(2, 2, plain_entries=True), ms, np.zeros(6), 0.0, seed=0)
+        plan = FoldPlan(k=3, assignments=np.arange(6) % 3)
+        pulled = []
+        b_hats = [np.diag([np.sqrt(e), 0.0]) for e in script]
+        monkeypatch.setattr(crossval, "_walk_path", stub_path(b_hats, pulled))
+        grid = [2.0**-j for j in range(len(script))]
+        res = cv_select(ds, plan, grid)
+        assert pulled == list(range(walked))
+        assert res.lambda_grid == grid[:walked]
+        assert res.e_hat.tolist() == script[:walked]
+        assert len(res.per_fold_estimates) == walked
+        assert res.lambda_cv == grid[best]
+        assert np.array_equal(res.b_cv, b_hats[best])
 
 
 SPECS = [
