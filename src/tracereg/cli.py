@@ -1,10 +1,12 @@
 """Command line front end for the experiment runner.
 
 One subcommand per experiment (figure1, exact-recovery, rsc-probe,
-calibration).  Options may also come from a flat key=value config file;
-precedence is command line > file > defaults.  Exit codes: 0 success,
-2 configuration error or any other ValueError (bad input or data), 3 I/O
-error; each failure prints one line to stderr.
+calibration), with one flag per ExperimentConfig field.  Options may also
+come from a flat key=value config file, such as a run's config.echo; a
+flag's value parses as its config-file line does.  Precedence is command
+line > file > defaults.  Exit codes: 0 success, 2 configuration error or
+any other ValueError (bad input or data), 3 I/O error; each failure
+prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .experiments import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    _parse_value,
     emit_outputs,
     run_calibration,
     run_exact_recovery,
@@ -29,27 +32,18 @@ from .experiments import (
 )
 from .sampling import ENSEMBLES
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
-# parsers of a raw string, keyed by the ExperimentConfig field's annotation
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "bool": lambda raw: _BOOL_WORDS[raw.lower()],
-    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v),
-    "tuple[str, ...]": lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()),
+# the flag spellings that are not "--" + the field name with dashes, and
+# the argparse keywords some flags take; every value reaches resolve_config
+# as a string, and the switch as the config file's "true"
+_FLAGS = {"n_grid": ("--n",), "calib_reps": ("--calib-reps", "--reps"), "calib_quantile": ("--quantile",)}
+_FLAG_KWARGS = {
+    "ensemble": {"choices": list(ENSEMBLES)},
+    "n_grid": {"help": "comma-separated sample sizes, strictly increasing"},
+    "estimators": {"help": f"comma-separated subset of {','.join(ALL_ESTIMATORS)}"},
+    "paper_scale": {"action": "store_const", "const": "true"},
 }
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
-
-def _parse_value(key: str, raw: str):
-    """The typed value of config key ``key`` from its raw string; raises
-    ConfigError when the string does not parse."""
-    raw = raw.strip()
-    try:
-        return _PARSERS.get(_FIELD_TYPES.get(key), str)(raw)
-    except (KeyError, ValueError):
-        raise ConfigError(f"cannot parse {key}={raw!r}") from None
 
 
 def load_config_file(path: str) -> dict:
@@ -65,10 +59,10 @@ def load_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_TYPES:
+            if key not in _FIELDS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                out[key] = _parse_value(key, raw)
+                out[key] = _parse_value(_FIELDS[key], raw)
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
@@ -76,21 +70,10 @@ def load_config_file(path: str) -> dict:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--ensemble", choices=list(ENSEMBLES))
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--n", dest="n_grid", help="comma-separated sample sizes, strictly increasing")
-    parser.add_argument("--replicates", type=int)
-    parser.add_argument("--k-folds", dest="k_folds", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--estimators", help=f"comma-separated subset of {','.join(ALL_ESTIMATORS)}")
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--calib-reps", "--reps", dest="calib_reps", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--multiplier", type=float)
-    parser.add_argument("--quantile", dest="calib_quantile", type=float)
-    parser.add_argument("--paper-scale", dest="paper_scale", action="store_true", default=None)
+    for name in _FIELDS:
+        if name != "experiment":  # the subcommand sets it
+            flags = _FLAGS.get(name, ("--" + name.replace("_", "-"),))
+            parser.add_argument(*flags, dest=name, **_FLAG_KWARGS.get(name, {}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,23 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {"experiment": args.command.replace("-", "_")}
-    if args.config:
-        file_values = load_config_file(args.config)
-        file_values.pop("experiment", None)
-        values.update(file_values)
-    for f in fields(ExperimentConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            # the list-valued flags arrive as comma-separated strings
-            values[f.name] = _parse_value(f.name, val) if f.type.startswith("tuple") else val
+    values = load_config_file(args.config) if args.config else {}
+    values["experiment"] = args.command.replace("-", "_")  # the subcommand beats the file
+    for f in _FIELDS.values():
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            values[f.name] = _parse_value(f, raw)
     if values["experiment"] == "exact_recovery":
         values.setdefault("sigma", 0.0)
         values.setdefault("ensemble", "gaussian_ensemble")
-    try:
-        return ExperimentConfig(**values).validate()
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**values).validate()
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import Field, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -325,18 +325,7 @@ def run_rsc_probe(cfg: ExperimentConfig) -> dict:
     _, b_star, ds = _replicate(cfg, spec, n, 0)
     nu = lam0**2 * cfg.r / (spec.constants().gamma_min**2 * spec.spikiness_norm(b_star) ** 2)
     report = rsc_probe(ds, nu, 72.0 * cfg.r, cfg.trials, stream(child_seed(cfg.seed, "probe", n)))
-    return {
-        "experiment": "rsc_probe",
-        "ensemble": cfg.ensemble,
-        "d": cfg.d,
-        "n": n,
-        "nu": report.nu,
-        "eta": report.eta,
-        "trials": report.trials,
-        "min_margin": report.min_margin,
-        "violation_count": report.violation_count,
-        "beta_emp": report.beta_emp,
-    }
+    return {"experiment": "rsc_probe", "ensemble": cfg.ensemble, "d": cfg.d, "n": n, **asdict(report)}
 
 
 def run_calibration(cfg: ExperimentConfig) -> dict:
@@ -352,10 +341,7 @@ def run_calibration(cfg: ExperimentConfig) -> dict:
         "d": cfg.d,
         "n": n,
         "sigma": cfg.sigma,
-        "multiplier": report.multiplier,
-        "reps": report.reps,
-        "quantile": report.quantile,
-        "lambda0": report.lambda0,
+        **asdict(report),
         "samples": [float(v) for v in report.samples],
     }
 
@@ -383,56 +369,63 @@ def summarize(records: list[ExperimentRecord]) -> list[SummaryRow]:
     return rows
 
 
+# the text form of a value both ways: _fmt writes the CSVs and config.echo;
+# _parse_value reads them, the config file and the CLI flags
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": lambda raw: _BOOL_WORDS[raw.lower()],
+    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v),
+    "tuple[str, ...]": lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()),
+}
+_PARSERS["bool | None"] = _PARSERS["bool"]  # ExperimentRecord.success, a column only when set
+
+
+def _parse_value(field: Field, raw: str):
+    """The typed value of dataclass field ``field`` from its raw string;
+    raises ConfigError when the string does not parse."""
+    raw = raw.strip()
+    try:
+        return _PARSERS.get(field.type, str)(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"cannot parse {field.name}={raw!r}") from None
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
     return str(value)
 
 
+def _csv_text(rows: list, names: list[str]) -> str:
+    """CSV text of dataclass ``rows``, one column per field in ``names``."""
+    lines = [",".join(names)]
+    lines += [",".join(_fmt(getattr(row, name)) for name in names) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_records_csv(records: list[ExperimentRecord], path: str) -> None:
-    with_success = any(rec.success is not None for rec in records)
-    header = "estimator,n,replicate,relative_error,lambda_used,converged,seed"
-    if with_success:
-        header += ",success"
-    lines = [header]
-    for rec in records:
-        row = [
-            rec.estimator,
-            str(rec.n),
-            str(rec.replicate),
-            _fmt(rec.relative_error),
-            _fmt(rec.lambda_used),
-            _fmt(rec.converged),
-            str(rec.seed),
-        ]
-        if with_success:
-            row.append(_fmt(bool(rec.success)))
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    names = [f.name for f in fields(ExperimentRecord)]
+    if all(rec.success is None for rec in records):
+        names.remove("success")
+    _write_text(path, _csv_text(records, names))
 
 
 def read_records_csv(path: str) -> list[ExperimentRecord]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        vals = dict(zip(header, line.split(",")))
-        out.append(
-            ExperimentRecord(
-                estimator=vals["estimator"],
-                n=int(vals["n"]),
-                replicate=int(vals["replicate"]),
-                relative_error=float(vals["relative_error"]),
-                lambda_used=float(vals["lambda_used"]),
-                converged=vals["converged"] == "true",
-                seed=int(vals["seed"]),
-                success=(vals["success"] == "true") if "success" in vals else None,
-            )
-        )
-    return out
+        header, *lines = fh.read().splitlines()
+    by_name = {f.name: f for f in fields(ExperimentRecord)}
+    columns = [by_name[name] for name in header.split(",")]
+    return [
+        ExperimentRecord(**{f.name: _parse_value(f, raw) for f, raw in zip(columns, line.split(","))})
+        for line in lines
+    ]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -521,18 +514,8 @@ def emit_outputs(records: list[ExperimentRecord], summary: list[SummaryRow], cfg
         "figure": os.path.join(cfg.out_dir, "figure1.svg"),
     }
     write_records_csv(records, paths["records"])
-    lines = ["estimator,n,mean,two_se,count,unconverged"]
-    lines += [
-        f"{row.estimator},{row.n},{_fmt(row.mean)},{_fmt(row.two_se)},{row.count},{row.unconverged}" for row in summary
-    ]
-    _write_text(paths["summary"], "\n".join(lines) + "\n")
-    echo = [f"{key}={_config_value(val)}" for key, val in sorted(asdict(cfg).items())]
+    _write_text(paths["summary"], _csv_text(summary, [f.name for f in fields(SummaryRow)]))
+    echo = [f"{key}={_fmt(val)}" for key, val in sorted(asdict(cfg).items())]
     _write_text(paths["config"], "\n".join(echo) + "\n")
     _write_text(paths["figure"], render_figure_svg(summary))
     return paths
-
-
-def _config_value(val) -> str:
-    if isinstance(val, tuple):
-        return ",".join(str(v) for v in val)
-    return _fmt(val)

@@ -357,9 +357,17 @@ class TestEmitOutputs:
         paths = emit_outputs(records, summary, cfg)
         return records, summary, paths, cfg
 
-    def test_csv_round_trip(self, outputs):
+    def test_csv_round_trip(self, outputs, tmp_path):
         records, _, paths, _ = outputs
         assert read_records_csv(paths["records"]) == records
+        # exact-recovery records add the success column, here both true and false
+        cfg = ExperimentConfig(
+            experiment="exact_recovery", ensemble="gaussian_ensemble", d=6, r=1, sigma=0.0,
+            n_grid=(6, 40), replicates=2, seed=3, out_dir=str(tmp_path / "recovery"),
+        )
+        recovery = run_exact_recovery(cfg)
+        assert {rec.success for rec in recovery} == {True, False}
+        assert read_records_csv(emit_outputs(recovery, summarize(recovery), cfg)["records"]) == recovery
 
     def test_records_header(self, outputs):
         _, _, paths, _ = outputs
@@ -401,6 +409,9 @@ class TestRscProbeExperiment:
             out_dir=str(tmp_path),
         )
         report = run_rsc_probe(cfg)
+        assert set(report) == {
+            "experiment", "ensemble", "d", "n", "nu", "eta", "trials", "min_margin", "violation_count", "beta_emp"
+        }
         assert report["eta"] == 144.0
         assert report["violation_count"] >= 0
         assert report["beta_emp"] >= 0.0
@@ -482,10 +493,41 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [f"config error: {cfg_file}:2: cannot parse {key}={raw!r}"]
         assert not (tmp_path / "out").exists()
 
-    def test_unparseable_sample_sizes_flag_exits_2_with_one_line(self, tmp_path, capsys):
-        assert main(["figure1", "--n", "100,x", "--out-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.splitlines() == ["config error: cannot parse n_grid='100,x'"]
+    _UNPARSEABLE_FLAGS = [
+        ("--n", "n_grid", "100,x"),
+        ("--d", "d", "abc"),
+        ("--r", "r", "2.5"),
+        ("--sigma", "sigma", "x"),
+        ("--replicates", "replicates", "ten"),
+        ("--k-folds", "k_folds", "5.0"),
+        ("--seed", "seed", "0x1"),
+        ("--calib-reps", "calib_reps", "1e3"),
+        ("--reps", "calib_reps", "many"),
+        ("--trials", "trials", "1,000"),
+        ("--multiplier", "multiplier", "3x"),
+        ("--quantile", "calib_quantile", "90%"),
+    ]
+
+    @pytest.mark.parametrize("flag, field, raw", _UNPARSEABLE_FLAGS, ids=[case[0][2:] for case in _UNPARSEABLE_FLAGS])
+    def test_unparseable_flag_value_exits_2_with_one_line(self, tmp_path, capsys, flag, field, raw):
+        # a flag value parses as its config-file line does: one line, no usage block
+        assert main(["figure1", flag, raw, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: cannot parse {field}={raw!r}"]
         assert not (tmp_path / "out").exists()
+
+    def test_config_echo_is_a_config_file_that_repeats_the_run(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["--d", "10", "--r", "1", "--sigma", "0.7", "--n", "120,160", "--replicates", "1", "--k-folds", "3",
+                "--seed", "4", "--calib-reps", "40", "--quantile", "0.8", "--estimators", "theory2,oracle,cv"]
+        assert main(["figure1", *argv, "--out-dir", str(first)]) == 0
+        assert main(["figure1", "--config", str(first / "config.echo"), "--out-dir", str(second)]) == 0
+        for name in ("records.csv", "summary.csv", "figure1.svg"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        echo_first, echo_second = ((out / "config.echo").read_text().splitlines() for out in (first, second))
+        assert len(echo_first) == len(echo_second)
+        assert [(a, b) for a, b in zip(echo_first, echo_second) if a != b] == [
+            (f"out_dir={first}", f"out_dir={second}")
+        ]
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -588,6 +630,9 @@ class TestCli:
 
         with open(out / "calibration.json", encoding="utf-8") as fh:
             payload = json.load(fh)
+        assert set(payload) == {
+            "experiment", "ensemble", "d", "n", "sigma", "multiplier", "reps", "quantile", "lambda0", "samples"
+        }
         assert payload["lambda0"] > 0
         assert len(payload["samples"]) == 20
 
