@@ -21,7 +21,7 @@ import numpy as np
 from .crossval import cv_select, lambda_grid, make_folds
 from .rng import stream
 from .sampling import ENSEMBLES, Dataset, EnsembleSpec, MatrixCompletion, generate_dataset, generate_ground_truth
-from .solvers import SolverConfig, lambda_max, solve_convex, solve_noiseless, solve_path
+from .solvers import SolverConfig, _checked_path, _walk_path, lambda_max, solve_noiseless
 from .theory import _noise_quantile, calibrate_lambda0, rsc_probe
 
 __all__ = [
@@ -222,14 +222,22 @@ _FIG1_SOLVER = SolverConfig(max_iters=2000, rel_obj_tol=1e-7)
 _CV_FLOOR = 1e-4
 
 
+def _path_fits(ds: Dataset, b_star: np.ndarray, grid: list[float]):
+    """(lam, relative error, converged) of each rung of ``solve_path([ds],
+    grid, _FIG1_SOLVER)``, read as the rung is solved, so no finished
+    b_hat outlives the walk's own warm start."""
+    datasets, grid = _checked_path([ds], grid)
+    for lam, (est,) in zip(grid, _walk_path(datasets, grid, _FIG1_SOLVER)):
+        yield lam, relative_error(est.b_hat, b_star), est.converged
+
+
 def _oracle_path(ds: Dataset, b_star: np.ndarray, grid: list[float]) -> tuple[float, float, bool]:
     """Best relative error over a decreasing lam grid, with warm starts;
     the winning lam is chosen with knowledge of the target."""
     best = (math.inf, grid[0], True)
-    for lam, (est,) in zip(grid, solve_path([ds], grid, _FIG1_SOLVER)):
-        err = relative_error(est.b_hat, b_star)
+    for lam, err, conv in _path_fits(ds, b_star, grid):
         if err < best[0]:
-            best = (err, lam, est.converged)
+            best = (err, lam, conv)
     return best
 
 
@@ -242,24 +250,35 @@ def _replicate(cfg: ExperimentConfig, spec: EnsembleSpec, n: int, rep: int) -> t
 
 def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Relative-error comparison of theory-calibrated, oracle, and
-    cross-validated estimators over a grid of sample sizes."""
+    cross-validated estimators over a grid of sample sizes.
+
+    Estimator theory<c> solves the convex problem at lam = c * q, q the
+    calibrated noise quantile of its sample size.  The distinct theory
+    penalties of a replicate are solved as one warm-started
+    :func:`~tracereg.solvers.solve_path` walk, largest first (3q, 2q,
+    q), each to the same tolerance as a cold solve; the oracle walks its
+    own halving grid and cv a cross-validated one.
+    """
     cfg = cfg.validate()
     if cfg.experiment != "figure1":
         raise ConfigError("config does not request the figure1 experiment")
     spec = make_ensemble(cfg)
+    mults = {name: float(name[len("theory") :]) for name in cfg.estimators if name.startswith("theory")}
     records: list[ExperimentRecord] = []
     for n in cfg.n_grid:
         base_quantile = _calibration_quantile(cfg, spec, n)
+        theory_grid = sorted({mult * base_quantile for mult in mults.values()}, reverse=True)
         for rep in range(cfg.replicates):
             data_seed, b_star, ds = _replicate(cfg, spec, n, rep)
             # the oracle and cv grids both start at the zero-solution threshold
             top = lambda_max(ds) if {"oracle", "cv"} & set(cfg.estimators) else None
+            theory = {}
+            if theory_grid:
+                theory = {lam: (err, conv) for lam, err, conv in _path_fits(ds, b_star, theory_grid)}
             for name in cfg.estimators:
-                if name.startswith("theory"):
-                    mult = float(name[len("theory") :])
-                    lam0 = mult * base_quantile
-                    est = solve_convex(ds, lam0, _FIG1_SOLVER)
-                    err, lam_used, conv = relative_error(est.b_hat, b_star), lam0, est.converged
+                if name in mults:
+                    lam_used = mults[name] * base_quantile
+                    err, conv = theory[lam_used]
                 elif name == "oracle":
                     lam_floor = max(3.0 * base_quantile / 2.0, 1e-12)
                     err, lam_used, conv = _oracle_path(ds, b_star, lambda_grid(ds, lam_floor, top=top))

@@ -137,10 +137,11 @@ def operator_norm(m) -> float:
     return matrix_norm(m, "operator")
 
 
-def _gram(m: np.ndarray) -> np.ndarray:
-    """The smaller Gram matrix a^T a of m, a = m or m^T (see ``_tall``)."""
+def _gram(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The smaller Gram matrix a^T a of m, a = m or m^T (see ``_tall``),
+    written into ``out`` when given (the same product, bit for bit)."""
     a, _ = _tall(m)
-    return a.T @ a
+    return np.matmul(a.T, a, out=out)
 
 
 def _gram_norm(g: np.ndarray) -> float:
@@ -149,9 +150,11 @@ def _gram_norm(g: np.ndarray) -> float:
     return float(np.sqrt(np.linalg.svd(g, compute_uv=False, hermitian=True)[0]))
 
 
-def _operator_norm_unless_below(m, bound: float) -> float | None:
+def _operator_norm_unless_below(m, bound: float, out: tuple[np.ndarray, np.ndarray] | None = None) -> float | None:
     """None when ``operator_norm(m) < bound`` is certified, otherwise
     ``operator_norm(m)`` itself, bit for bit; both from one Gram matrix.
+    ``out``, two d x d arrays, receives the Gram matrix and its shifted
+    copy, so a caller screening many matrices allocates them once.
 
     The certificate is a completed Cholesky factorization of
     bound^2 (1 - delta) I - a^T a, with a^T a the Gram matrix that
@@ -163,10 +166,11 @@ def _operator_norm_unless_below(m, bound: float) -> float | None:
     plus the Cholesky cost under half the eigenvalue solve at d = 200 (one
     thread), and an uncertified matrix reuses its Gram for that solve.
     """
-    g = _gram(_as_matrix(m))
+    gram, shifted = (None, None) if out is None else out
+    g = _gram(_as_matrix(m), out=gram)
     d = g.shape[0]
     delta = max(1e-8, 16.0 * d * d * np.finfo(float).eps)
-    shifted = -g
+    shifted = np.negative(g, out=shifted)
     shifted.flat[:: d + 1] += bound * bound * (1.0 - delta)
     try:
         np.linalg.cholesky(shifted)

@@ -18,10 +18,11 @@ The convex solve is written once, as a generator that yields its prox
 inputs; ``solve_convex`` drives one of them through ``soft_threshold``.
 ``solve_path`` walks a decreasing lam grid from zero with warm starts,
 the one walk behind cross-validation (which pulls it rung by rung and
-may stop early), the figure1 oracle and the noiseless continuation
-ladder; from its third rung on it starts each rung from the secant
-prediction of the last two solutions (the predictor step of numerical
-continuation), not from the last solution itself.  It runs
+may stop early), the figure1 oracle, the figure1 theory estimators (a
+replicate's theory penalties, largest first) and the noiseless
+continuation ladder; from its third rung on it starts each rung from
+the secant prediction of the last two solutions (the predictor step of
+numerical continuation), not from the last solution itself.  It runs
 several same-shape problems (the K cross-validation folds) in lockstep,
 taking each round's prox steps from one stacked symmetric SVD
 (``linalg._soft_threshold_stack``, the routine soft_threshold calls, so

@@ -9,7 +9,9 @@ thresholds for exact recovery.
 The experiments need only the calibrated quantile and take it from
 ``_noise_quantile``, which finds the same value bit for bit by certified
 screening: a draw whose norm a Cholesky certificate proves below the
-running k-th largest is skipped without an eigenvalue solve.
+running k-th largest is skipped without an eigenvalue solve.  The
+screen forms every such draw's Gram matrix and its shifted copy in two
+buffers allocated once per calibration.
 
 Absolute constants that the bounds leave unspecified are explicit
 parameters defaulting to 1; values computed with the defaults are
@@ -84,14 +86,18 @@ def _noise_matrices(spec: EnsembleSpec, n: int, reps: int, rng: np.random.Genera
     """The ``reps`` matrices (1/n) sum_i w_i X_i, each over a fresh size-n
     sample from ``rng`` followed by its n weights ``weights(n)``: the noise
     matrices of a calibration and the draws of a Rademacher sketch, so
-    both consume their stream in one order."""
+    both consume their stream in one order.  Each is a fresh array,
+    divided by n in place."""
     for _ in range(reps):
         ms = spec.sample_batch(n, rng)
         # w stays bound across the yield: freed before the caller's
-        # eigen-solve instead, it doubled the loop's minor page faults
-        # (68k vs 35k over 250 draws at d=200, n=20000; ~10% more time)
+        # eigen-solve instead, it raised a cold calibration's minor page
+        # faults from 11k to 19.5k (250 draws at d=200, n=20000) and was
+        # slower in 4 of 4 paired runs
         w = weights(n)
-        yield ms.adjoint(w) / n
+        m = ms.adjoint(w)
+        m /= n
+        yield m
 
 
 def _gaussian_noise(sigma: float, rng: np.random.Generator):
@@ -144,12 +150,14 @@ def _noise_quantile(
     k (1 + ln(reps/k)) of them do.
     """
     k = _quantile_rank(reps, quantile)
+    d = min(spec.shape)
+    buffers = (np.empty((d, d)), np.empty((d, d)))
     top: list[float] = []
     for m in _noise_matrices(spec, n, reps, rng, _gaussian_noise(sigma, rng)):
         if len(top) < k:
             heapq.heappush(top, operator_norm(m))
             continue
-        value = _operator_norm_unless_below(m, top[0])
+        value = _operator_norm_unless_below(m, top[0], buffers)
         if value is not None and value > top[0]:
             heapq.heapreplace(top, value)
     return top[0]

@@ -207,6 +207,46 @@ class TestRunFigure1:
             lam_min = 1e-4 * lambda_max(ds) if name == "cv" else max(3.0 * base / 2.0, 1e-12)
             assert grid == lambda_grid(ds, lam_min)
 
+    @pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+    def test_theory_fits_are_one_path_as_good_as_lone_solves(self, tmp_path, monkeypatch, ensemble):
+        # the distinct theory penalties of a replicate are one warm-started
+        # walk, largest first; each of its fits must come as close to the
+        # optimum as a cold solve at the figure1 tolerance does.  The bound
+        # is 100x that rel_obj_tol: on replicates 0-3 of this config, cold
+        # solves stopped up to 1.4e-6 above the optimum, the walk's fits up
+        # to 1.1e-6.
+        cfg = small_fig1_cfg(tmp_path, ensemble=ensemble, d=8, n_grid=(120, 200), replicates=2, calib_reps=20,
+                             estimators=("theory1", "theory3", "theory1", "theory2")).validate()
+        walks = []
+        real_walk = experiments._walk_path
+
+        def walk(datasets, grid, solver_cfg):
+            fits = []
+            walks.append((datasets, grid, fits))
+            for row in real_walk(datasets, grid, solver_cfg):
+                fits.append(row[0])
+                yield row
+
+        monkeypatch.setattr(experiments, "_walk_path", walk)
+        records = run_figure1(cfg)
+        cells = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replicates)]
+        assert len(walks) == len(cells)
+        tight = solvers.SolverConfig(max_iters=50000, rel_obj_tol=1e-12)
+        spec = experiments.make_ensemble(cfg)
+        for (n, rep), ((ds,), grid, fits) in zip(cells, walks):
+            q = grid[-1]
+            assert grid == [3.0 * q, 2.0 * q, q] and len(fits) == 3
+            _, b_star, _ = experiments._replicate(cfg, spec, n, rep)
+            for lam, fit in zip(grid, fits):
+                lone = solvers.solve_convex(ds, lam, tight)
+                assert fit.lam == lam and lone.converged
+                assert abs(fit.objective - lone.objective) <= 1e-5 * lone.objective
+            got = [(rec.estimator, rec.relative_error, rec.lambda_used, rec.converged)
+                   for rec in records if (rec.n, rec.replicate) == (n, rep)]
+            want = [(f"theory{c}", relative_error(fit.b_hat, b_star), fit.lam, fit.converged)
+                    for c, fit in zip((3, 2, 1), fits)]
+            assert sorted(got) == sorted(want + want[-1:])  # theory1 was requested twice
+
     def test_cv_walk_is_a_prefix_of_the_full_path(self, tmp_path):
         # one replicate of the figure1 protocol (plain-entry matrix
         # completion, sigma=1, its folds, solver settings and CV grid)
@@ -339,7 +379,8 @@ class TestSummarize:
         for row in rows:
             group = [rec for rec in records if (rec.estimator, rec.n) == (row.estimator, row.n)]
             assert row.unconverged == sum(not rec.converged for rec in group)
-        # one prox step from zero at the theory penalty cannot meet the tolerance
+        # one prox step cannot meet the tolerance at any theory penalty: not
+        # at 3q from zero, nor at 2q and q from the path's warm starts
         assert [row.unconverged for row in rows if row.estimator.startswith("theory")] == [2, 2, 2]
         paths = emit_outputs(records, rows, cfg)
         with open(paths["summary"], encoding="utf-8") as fh:

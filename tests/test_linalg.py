@@ -261,12 +261,17 @@ class TestGramKernelAccuracy:
     def test_operator_norm_below_is_a_certificate(self, m, log_gap, above):
         # the margin is 1e-8 relative at these sizes: a bound 1e-6 or more
         # above the norm is certified (None), one at or below it never is,
-        # and an uncertified matrix gets operator_norm bit for bit
+        # and an uncertified matrix gets operator_norm bit for bit, also
+        # when its Gram matrices go into the caller's stale buffers
         norm = operator_norm(m)
         bound = norm * (1.0 + 10.0**log_gap if above else 1.0 - 10.0**log_gap)
         certified = above and norm > 0.0
+        d = min(m.shape)
+        buffers = (np.full((d, d), np.nan), np.full((d, d), np.nan))
         assert _operator_norm_unless_below(m, bound) == (None if certified else norm)
+        assert _operator_norm_unless_below(m, bound, buffers) == (None if certified else norm)
         assert _operator_norm_unless_below(m, norm) == norm
+        assert _operator_norm_unless_below(m, norm, buffers) == norm
 
     @_KERNEL_SETTINGS
     @given(m=_spectral_matrices(), log_ratio=st.floats(-0.5, 3.0))

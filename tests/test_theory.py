@@ -118,17 +118,41 @@ class TestNoiseQuantile:
         # the Gram matrix the certificate formed, not on a second product
         grams, solves = [], []
         real_gram, real_norm = linalg._gram, linalg._gram_norm
-        monkeypatch.setattr(linalg, "_gram", lambda m: grams.append(m.shape) or real_gram(m))
+        monkeypatch.setattr(linalg, "_gram", lambda m, out=None: grams.append(out) or real_gram(m, out=out))
         monkeypatch.setattr(linalg, "_gram_norm", lambda g: solves.append(g.shape) or real_norm(g))
         spec = MatrixCompletion(30, 30, plain_entries=True)
         theory._noise_quantile(spec, 1000, 1.0, 100, 0.9, stream(3))
         assert len(solves) > 10  # k = 10 fill the heap; some later draws are not certified
         assert len(grams) == 100
+        # the 90 screened draws form their Gram matrices in one buffer
+        assert grams[:10] == [None] * 10 and len({id(out) for out in grams[10:]}) == 1
+
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+    def test_equals_the_former_loop(self, kind, shape, sigma):
+        spec = ENSEMBLES[kind](*shape)
+        screened_rng, former_rng = stream(17), stream(17)
+        value = theory._noise_quantile(spec, 60, sigma, 40, 0.9, screened_rng)
+        # the k-th largest of 40 draws, k = ceil(0.1 * 40) = 4
+        assert value == np.sort(former_calibration_draws(spec, 60, sigma, 40, former_rng))[::-1][3]
+        np.testing.assert_equal(screened_rng.bit_generator.state, former_rng.bit_generator.state)
 
     @pytest.mark.parametrize("reps, quantile", [(9, 0.9), (20, 0.0), (20, 1.0)])
     def test_rejects_what_calibrate_lambda0_rejects(self, reps, quantile):
         with pytest.raises(ValueError):
             theory._noise_quantile(GaussianEnsemble(3, 3), 10, 1.0, reps, quantile, stream(0))
+
+
+def former_calibration_draws(spec, n, sigma, reps, rng):
+    """Reference for the calibration's noise draws: each draw's operator
+    norm, with the noise matrix formed and normed by the public API."""
+    draws = np.empty(reps)
+    for i in range(reps):
+        ms = spec.sample_batch(n, rng)
+        eps = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
+        draws[i] = operator_norm(ms.adjoint(eps) / n)
+    return draws
 
 
 def former_sketch_draws(spec, n, reps, rng):
