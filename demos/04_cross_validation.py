@@ -24,7 +24,8 @@ rel = lambda b: np.sum((b - b_star) ** 2) / np.sum(b_star**2)
 plan = make_folds(n, 5, stream(2))
 print("fold sizes:", plan.sizes().tolist())
 
-grid = lambda_grid(ds, 0.01 * lambda_max(ds))
+top = lambda_max(ds)  # the zero-solution threshold
+grid = lambda_grid(top, 0.01 * top)
 result = cv_select(ds, plan, grid)  # the K fold fits walk the grid in lockstep
 
 # the walk stops once the error has risen at two consecutive rungs, so
@@ -36,7 +37,8 @@ for lam, err in zip(result.lambda_grid, result.e_hat):
     print(f"  {lam:9.5f}  {err:10.4f}{marker}")
 
 print(f"\ncv estimator error          : {rel(result.b_cv):.4f}")
-# the same warm-started walk over the grid on the full sample
+# the same warm-started walk over the grid on the full sample; solve_path
+# yields one row of estimates per rung as it solves it
 oracle_err = min(rel(est.b_hat) for (est,) in solve_path([ds], grid))
 print(f"oracle error over same grid : {oracle_err:.4f}")
 print(f"noise floor sigma^2         : {sigma**2:.1f} (out-of-fold error approaches it from above)")

@@ -36,13 +36,12 @@ _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 # the flag spellings that are not "--" + the field name with dashes, and
 # the argparse keywords some flags take; every value reaches resolve_config
-# as a string, and the switch as the config file's "true"
+# as a string
 _FLAGS = {"n_grid": ("--n",), "calib_reps": ("--calib-reps", "--reps"), "calib_quantile": ("--quantile",)}
 _FLAG_KWARGS = {
     "ensemble": {"choices": list(ENSEMBLES)},
     "n_grid": {"help": "comma-separated sample sizes, strictly increasing"},
     "estimators": {"help": f"comma-separated subset of {','.join(ALL_ESTIMATORS)}"},
-    "paper_scale": {"action": "store_const", "const": "true"},
 }
 
 

@@ -5,17 +5,17 @@ is fit on each fold's complement and scored on the held-out fold.  The
 selected estimator averages the K complement fits at the winning lam,
 weighted by fold size.
 
-The K fold fits walk the grid together along ``solvers.solve_path``'s
-walk, warm-started from rung to rung (from the third rung on at the
-secant prediction of the fold's last two fits) and solved in lockstep:
-each round takes the K prox steps from one stacked eigendecomposition,
-and every fold's fit is bit-identical to a chain of lone
-``solve_convex`` calls on it from the same starts.  The walk pulls one
-rung at a time and stops once the out-of-fold error has risen at two
-consecutive rungs, so the rungs past a minimum, the slowest ones on a
-decreasing grid, are never solved; the grid may then run deep enough to
-reach the minimum without that depth being paid for (the early end of
-glmnet's lam path, Friedman, Hastie & Tibshirani 2010).
+The K fold fits walk the grid together by pulling
+``solvers.solve_path``, warm-started from rung to rung (from the third
+rung on at the secant prediction of the fold's last two fits) and
+solved in lockstep: each round takes the K prox steps from one stacked
+eigendecomposition, and every fold's fit is bit-identical to a chain of
+lone ``solve_convex`` calls on it from the same starts.  The walk pulls
+one rung at a time and stops once the out-of-fold error has risen at
+two consecutive rungs, so the rungs past a minimum, the slowest ones on
+a decreasing grid, are never solved; the grid may then run deep enough
+to reach the minimum without that depth being paid for (the early end
+of glmnet's lam path, Friedman, Hastie & Tibshirani 2010).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import Dataset
-from .solvers import Estimate, SolverConfig, _checked_path, _walk_path, lambda_max
+from .solvers import Estimate, SolverConfig, solve_path
 
 __all__ = [
     "FoldPlan",
@@ -65,18 +65,16 @@ def make_folds(n: int, k: int, rng: np.random.Generator) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments)
 
 
-def lambda_grid(ds: Dataset, lambda_min: float, top: float | None = None) -> list[float]:
-    """Halving grid from the zero-solution threshold down to lambda_min.
-
-    Starts at ``top`` (lambda_max(ds) when None; callers that already hold
-    lambda_max(ds) pass it) and halves until a value at or below
-    lambda_min is reached (that value is included).
+def lambda_grid(top: float, lambda_min: float) -> list[float]:
+    """Halving grid from ``top`` down to lambda_min: top, top/2, ... until
+    a value at or below lambda_min is reached (that value is included).
+    Callers start it at the zero-solution threshold ``lambda_max(ds)``.
     """
     if lambda_min <= 0:
         raise ValueError("lambda_min must be positive")
-    grid = [lambda_max(ds) if top is None else top]
-    if grid[0] == 0.0:
-        raise ValueError("all responses are zero; the grid is empty")
+    if not top > 0:
+        raise ValueError(f"grid top must be positive, got {top} (lambda_max is 0 when all responses are)")
+    grid = [top]
     while grid[-1] > lambda_min:
         grid.append(grid[-1] / 2.0)
     return grid
@@ -103,8 +101,8 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
     """Compute out-of-fold errors down a strictly decreasing lam grid and
     return the fold-size-weighted average estimator at the best lam.
 
-    Each fold's estimator is fit on that fold's complement along the
-    walk of :func:`~tracereg.solvers.solve_path` with ``cfg``, so the
+    Each fold's estimator is fit on that fold's complement by pulling
+    :func:`~tracereg.solvers.solve_path` with ``cfg`` rung by rung, so the
     first lam's fits are cold, the second starts from the first, and each
     later one starts from the secant prediction b_j + r_j (b_j - b_{j-1})
     of the fold's last two fits (r_j = 0.5 on a halving grid).
@@ -116,19 +114,20 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
     consecutive rungs (a rise is a strict increase over the previous
     rung; a tie resets the count), and later rungs are never solved.
     ``lambda_grid``, ``e_hat`` and ``per_fold_estimates`` of the result
-    cover only the rungs walked.  The winner is the minimum over those
-    rungs, ties going to the largest lam (strongest regularization); on
-    an error curve that falls and then rises it is the minimum over the
-    whole grid.
+    cover only the rungs walked; ``lambda_grid`` and ``lambda_cv`` are
+    the walked fits' ``lam``, the grid's values as floats.  The winner is
+    the minimum over those rungs, ties going to the largest lam (strongest
+    regularization); on an error curve that falls and then rises it is the
+    minimum over the whole grid.
     """
     if len(plan.assignments) != ds.n or np.any((plan.assignments < 0) | (plan.assignments >= plan.k)):
         raise ValueError("fold plan does not cover the dataset")
     n = ds.n
     sizes = plan.sizes()
     holds = [ds.subset(plan.indices(fold)) for fold in range(plan.k)]
-    trains, grid = _checked_path([ds.subset(plan.complement(fold)) for fold in range(plan.k)], grid)
+    trains = [ds.subset(plan.complement(fold)) for fold in range(plan.k)]
     estimates, errors, rises = [], [], 0
-    for row in _walk_path(trains, grid, cfg):
+    for row in solve_path(trains, grid, cfg):
         total = 0.0
         for hold, est in zip(holds, row):
             resid = hold.y - hold.measurements.apply(est.b_hat)
@@ -147,9 +146,9 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
     for fold in range(plan.k):
         b_cv += (sizes[fold] / n) * estimates[best][fold].b_hat
     return CvResult(
-        lambda_grid=grid[: len(estimates)],
+        lambda_grid=[row[0].lam for row in estimates],
         e_hat=e_hat,
-        lambda_cv=grid[best],
+        lambda_cv=estimates[best][0].lam,
         b_cv=b_cv,
         per_fold_estimates=estimates,
         converged=all(est.converged for est in estimates[best]),

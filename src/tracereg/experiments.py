@@ -14,14 +14,14 @@ import json
 import math
 import os
 import warnings
-from dataclasses import Field, asdict, dataclass, fields, replace
+from dataclasses import Field, asdict, dataclass, fields
 
 import numpy as np
 
 from .crossval import cv_select, lambda_grid, make_folds
 from .rng import stream
 from .sampling import ENSEMBLES, Dataset, EnsembleSpec, MatrixCompletion, generate_dataset, generate_ground_truth
-from .solvers import SolverConfig, _checked_path, _walk_path, lambda_max, solve_noiseless
+from .solvers import SolverConfig, lambda_max, solve_noiseless, solve_path
 from .theory import _noise_quantile, calibrate_lambda0, rsc_probe
 
 __all__ = [
@@ -65,40 +65,36 @@ class ExperimentConfig:
     calib_quantile: float = 0.9
     trials: int = 1000
     multiplier: float = 3.0
-    paper_scale: bool = False
 
     def validate(self) -> "ExperimentConfig":
-        cfg = self
-        if cfg.paper_scale:
-            cfg = replace(cfg, replicates=100, calib_reps=1000)
-        if cfg.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-        if cfg.ensemble not in ENSEMBLES:
-            raise ConfigError(f"unknown ensemble {cfg.ensemble!r}")
-        if cfg.replicates < 1:
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if self.ensemble not in ENSEMBLES:
+            raise ConfigError(f"unknown ensemble {self.ensemble!r}")
+        if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
-        if len(cfg.n_grid) == 0 or cfg.n_grid[0] < 1 or any(b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
-            raise ConfigError(f"n_grid must be non-empty, positive and strictly increasing, got {cfg.n_grid}")
-        if cfg.d < 1 or not 1 <= cfg.r <= cfg.d:
+        if len(self.n_grid) == 0 or self.n_grid[0] < 1 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ConfigError(f"n_grid must be non-empty, positive and strictly increasing, got {self.n_grid}")
+        if self.d < 1 or not 1 <= self.r <= self.d:
             raise ConfigError("need d >= 1 and 1 <= r <= d")
-        if cfg.k_folds < 2:
+        if self.k_folds < 2:
             raise ConfigError("k_folds must be at least 2")
-        if not (math.isfinite(cfg.sigma) and cfg.sigma >= 0):
-            raise ConfigError(f"sigma must be finite and non-negative, got {cfg.sigma}")
-        if not math.isfinite(cfg.multiplier):
-            raise ConfigError(f"multiplier must be finite, got {cfg.multiplier}")
-        if cfg.multiplier <= 0:
-            raise ConfigError(f"multiplier must be positive, got {cfg.multiplier}")
-        unknown = set(cfg.estimators) - set(ALL_ESTIMATORS)
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(f"sigma must be finite and non-negative, got {self.sigma}")
+        if not math.isfinite(self.multiplier):
+            raise ConfigError(f"multiplier must be finite, got {self.multiplier}")
+        if self.multiplier <= 0:
+            raise ConfigError(f"multiplier must be positive, got {self.multiplier}")
+        unknown = set(self.estimators) - set(ALL_ESTIMATORS)
         if unknown:
             raise ConfigError(f"unknown estimators: {sorted(unknown)}")
-        if cfg.experiment == "exact_recovery" and cfg.sigma != 0.0:
+        if self.experiment == "exact_recovery" and self.sigma != 0.0:
             raise ConfigError("exact_recovery requires sigma = 0")
-        theory = [name for name in cfg.estimators if name.startswith("theory")]
-        if cfg.experiment == "figure1" and cfg.sigma == 0.0 and theory:
+        theory = [name for name in self.estimators if name.startswith("theory")]
+        if self.experiment == "figure1" and self.sigma == 0.0 and theory:
             # the calibrated noise quantile, and so every theory lambda, is 0
             raise ConfigError(f"sigma = 0 calibrates lambda to 0 for {','.join(theory)}; need sigma > 0")
-        return cfg
+        return self
 
 
 @dataclass(frozen=True)
@@ -226,9 +222,8 @@ def _path_fits(ds: Dataset, b_star: np.ndarray, grid: list[float]):
     """(lam, relative error, converged) of each rung of ``solve_path([ds],
     grid, _FIG1_SOLVER)``, read as the rung is solved, so no finished
     b_hat outlives the walk's own warm start."""
-    datasets, grid = _checked_path([ds], grid)
-    for lam, (est,) in zip(grid, _walk_path(datasets, grid, _FIG1_SOLVER)):
-        yield lam, relative_error(est.b_hat, b_star), est.converged
+    for (est,) in solve_path([ds], grid, _FIG1_SOLVER):
+        yield est.lam, relative_error(est.b_hat, b_star), est.converged
 
 
 def _oracle_path(ds: Dataset, b_star: np.ndarray, grid: list[float]) -> tuple[float, float, bool]:
@@ -258,17 +253,23 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     :func:`~tracereg.solvers.solve_path` walk, largest first (3q, 2q,
     q), each to the same tolerance as a cold solve; the oracle walks its
     own halving grid and cv a cross-validated one.
+
+    Only the theory and oracle estimators read q, so n is calibrated only
+    when one of them runs, or when ``estimators`` is empty: that call
+    fills the calibration cache and generates no replicate.
     """
     cfg = cfg.validate()
     if cfg.experiment != "figure1":
         raise ConfigError("config does not request the figure1 experiment")
     spec = make_ensemble(cfg)
     mults = {name: float(name[len("theory") :]) for name in cfg.estimators if name.startswith("theory")}
+    reads_q = mults or "oracle" in cfg.estimators or not cfg.estimators
+    replicates = cfg.replicates if cfg.estimators else 0
     records: list[ExperimentRecord] = []
     for n in cfg.n_grid:
-        base_quantile = _calibration_quantile(cfg, spec, n)
+        base_quantile = _calibration_quantile(cfg, spec, n) if reads_q else None
         theory_grid = sorted({mult * base_quantile for mult in mults.values()}, reverse=True)
-        for rep in range(cfg.replicates):
+        for rep in range(replicates):
             data_seed, b_star, ds = _replicate(cfg, spec, n, rep)
             # the oracle and cv grids both start at the zero-solution threshold
             top = lambda_max(ds) if {"oracle", "cv"} & set(cfg.estimators) else None
@@ -281,10 +282,10 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                     err, conv = theory[lam_used]
                 elif name == "oracle":
                     lam_floor = max(3.0 * base_quantile / 2.0, 1e-12)
-                    err, lam_used, conv = _oracle_path(ds, b_star, lambda_grid(ds, lam_floor, top=top))
+                    err, lam_used, conv = _oracle_path(ds, b_star, lambda_grid(top, lam_floor))
                 elif name == "cv":
                     plan = make_folds(n, cfg.k_folds, stream(child_seed(cfg.seed, "folds", n, rep)))
-                    result = cv_select(ds, plan, lambda_grid(ds, _CV_FLOOR * top, top=top), _FIG1_SOLVER)
+                    result = cv_select(ds, plan, lambda_grid(top, _CV_FLOOR * top), _FIG1_SOLVER)
                     err, lam_used, conv = relative_error(result.b_cv, b_star), result.lambda_cv, result.converged
                 else:  # pragma: no cover - validate() rejects unknown names
                     raise ConfigError(f"unknown estimator {name!r}")

@@ -150,7 +150,7 @@ def _gram_norm(g: np.ndarray) -> float:
     return float(np.sqrt(np.linalg.svd(g, compute_uv=False, hermitian=True)[0]))
 
 
-def _operator_norm_unless_below(m, bound: float, out: tuple[np.ndarray, np.ndarray] | None = None) -> float | None:
+def _operator_norm_unless_below(m, bound: float, out: tuple[np.ndarray, np.ndarray]) -> float | None:
     """None when ``operator_norm(m) < bound`` is certified, otherwise
     ``operator_norm(m)`` itself, bit for bit; both from one Gram matrix.
     ``out``, two d x d arrays, receives the Gram matrix and its shifted
@@ -166,7 +166,7 @@ def _operator_norm_unless_below(m, bound: float, out: tuple[np.ndarray, np.ndarr
     plus the Cholesky cost under half the eigenvalue solve at d = 200 (one
     thread), and an uncertified matrix reuses its Gram for that solve.
     """
-    gram, shifted = (None, None) if out is None else out
+    gram, shifted = out
     g = _gram(_as_matrix(m), out=gram)
     d = g.shape[0]
     delta = max(1e-8, 16.0 * d * d * np.finfo(float).eps)
@@ -188,7 +188,12 @@ def svd(m) -> SvdFactors:
 
 def numerical_rank(m) -> int:
     """Count singular values above RANK_RTOL times the largest one."""
-    s = np.linalg.svd(_as_matrix(m), compute_uv=False)
+    return _rank(np.linalg.svd(_as_matrix(m), compute_uv=False))
+
+
+def _rank(s: np.ndarray) -> int:
+    """Number of the non-increasing singular values ``s`` above RANK_RTOL
+    times the largest one."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_RTOL * s[0]))
@@ -273,10 +278,7 @@ def _gram_product(a: np.ndarray, wide: bool, vk: np.ndarray, scale: np.ndarray) 
 def _span_projectors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal projectors onto the row space and column space of b."""
     u, s, vh = np.linalg.svd(b, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        k = int(np.sum(s > RANK_RTOL * s[0]))
-    else:
-        k = 0
+    k = _rank(s)
     uk = u[:, :k]
     vk = vh[:k, :].T
     return uk @ uk.T, vk @ vk.T

@@ -346,23 +346,25 @@ class MatrixCompletion(_EnsembleBase):
             scales = rng.normal(0.0, float(self.d_r), size=n)
         return EntrySet(rows, cols, scales, self.d_r, self.d_c)
 
+    @property
+    def _scale(self) -> float:
+        """The entry scale |xi|: 1 with plain entries, else d_r, the root of
+        E xi^2 = d_r^2 in both xi modes."""
+        return 1.0 if self.plain_entries else float(self.d_r)
+
     def l2pi_norm(self, b):
         # E xi^2 = d^2 in both analyzed modes cancels the 1/(d_r d_c)
         # sampling weight only when d_r = d_c =: d; keep the general form.
-        scale2 = 1.0 if self.plain_entries else float(self.d_r) ** 2
-        return float(np.sqrt(scale2 / (self.d_r * self.d_c)) * matrix_norm(b, "frobenius"))
+        return float(np.sqrt(self._scale**2 / (self.d_r * self.d_c)) * matrix_norm(b, "frobenius"))
 
     def spikiness_norm(self, b):
-        scale = 1.0 if self.plain_entries else float(self.d_r)
-        return 2.0 * scale * matrix_norm(b, "linf")
+        return 2.0 * self._scale * matrix_norm(b, "linf")
 
     def constants(self):
-        scale2 = 1.0 if self.plain_entries else float(self.d_r) ** 2
-        gamma = scale2 / (self.d_r * self.d_c)
+        gamma = self._scale**2 / (self.d_r * self.d_c)
         # Infimum of ||B||_F^2 / (2 scale ||B||_inf)^2 is attained by a
         # single-entry matrix.
-        scale = 1.0 if self.plain_entries else float(self.d_r)
-        return EnsembleConstants(gamma_min=gamma, gamma_max=gamma, frak_c=9.0, nu0=1.0 / (4.0 * scale**2))
+        return EnsembleConstants(gamma_min=gamma, gamma_max=gamma, frak_c=9.0, nu0=1.0 / (4.0 * self._scale**2))
 
 
 @dataclass(frozen=True)

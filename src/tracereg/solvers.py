@@ -16,23 +16,25 @@ not exceed the loss at the target matrix.
 
 The convex solve is written once, as a generator that yields its prox
 inputs; ``solve_convex`` drives one of them through ``soft_threshold``.
-``solve_path`` walks a decreasing lam grid from zero with warm starts,
-the one walk behind cross-validation (which pulls it rung by rung and
-may stop early), the figure1 oracle, the figure1 theory estimators (a
-replicate's theory penalties, largest first) and the noiseless
-continuation ladder; from its third rung on it starts each rung from
-the secant prediction of the last two solutions (the predictor step of
-numerical continuation), not from the last solution itself.  It runs
-several same-shape problems (the K cross-validation folds) in lockstep,
-taking each round's prox steps from one stacked symmetric SVD
-(``linalg._soft_threshold_stack``, the routine soft_threshold calls, so
-the two agree bit for bit); the secant start is formed ahead of either
-route, so each Estimate equals the one a lone solve_convex from the same
-start returns.
+``solve_path`` is a generator that walks a decreasing lam grid from zero
+with warm starts and solves each rung only when its row of estimates is
+pulled.  It is the one walk behind cross-validation (which stops pulling
+once the held-out error has turned up), the figure1 oracle, the figure1
+theory estimators (a replicate's theory penalties, largest first) and
+the noiseless continuation ladder.  From its third rung on it starts
+each rung from the secant prediction of the last two solutions (the
+predictor step of numerical continuation), not from the last solution
+itself.  It runs several same-shape problems (the K cross-validation
+folds) in lockstep, taking each round's prox steps from one stacked
+symmetric SVD (``linalg._soft_threshold_stack``, the routine
+soft_threshold calls, so the two agree bit for bit); the secant start
+is formed ahead of either route, so each Estimate equals the one a lone
+solve_convex from the same start returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -280,10 +282,13 @@ def solve_convex(
         return done.value
 
 
-def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> list[list[Estimate]]:
-    """:func:`solve_convex` of every dataset at each lam of a strictly
-    decreasing ``grid``, warm-started along it.  Row j of the result holds
-    one Estimate per dataset.
+def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> Iterator[list[Estimate]]:
+    """Walk :func:`solve_convex` of every dataset down a strictly
+    decreasing ``grid``, warm-started along it.  A generator: it yields
+    row j, one Estimate per dataset at grid[j], and solves a rung only
+    when its row is pulled, so a caller that stops pulling leaves the
+    later rungs unsolved.  The arguments are checked at the first pull,
+    before any solve.
 
     Rung 0 starts from zero and rung 1 from rung 0's solutions.  Each
     later rung j+1 starts from the secant prediction b_j + r_j (b_j -
@@ -303,13 +308,6 @@ def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> list[list[
     either route, so every Estimate equals the one a chain of lone
     solve_convex calls from the same starts returns.
     """
-    datasets, grid = _checked_path(datasets, grid)
-    return list(_walk_path(datasets, grid, cfg))
-
-
-def _checked_path(datasets, grid) -> tuple[list[Dataset], list[float]]:
-    """The arguments of :func:`solve_path` as lists, checked eagerly, since
-    :func:`_walk_path` only runs when its first rung is pulled."""
     grid = [float(lam) for lam in grid]
     if not grid:
         raise ValueError("lam grid must be non-empty")
@@ -320,14 +318,6 @@ def _checked_path(datasets, grid) -> tuple[list[Dataset], list[float]]:
     datasets = list(datasets)
     if len({ds.measurements.shape for ds in datasets}) > 1:
         raise ValueError("batched problems must share one matrix shape")
-    return datasets, grid
-
-
-def _walk_path(datasets: list[Dataset], grid: list[float], cfg: SolverConfig):
-    """The rung loop of :func:`solve_path`, on arguments from
-    :func:`_checked_path`: yields each rung's row of Estimates, and solves
-    a rung only when it is pulled, so a caller that stops pulling leaves
-    the later rungs unsolved."""
     prev, warm = None, [None] * len(datasets)
     for j, lam in enumerate(grid):
         if len(datasets) == 1:
@@ -457,8 +447,7 @@ def solve_noiseless(ds: Dataset, cfg: SolverConfig = SolverConfig(max_iters=2000
         return Estimate(zero, 0.0, objective(ds, 0.0, zero), 0, resid <= NOISELESS_RESIDUAL_TOL,
                         "noiseless", residual=resid)
     ladder = [lam0 / NOISELESS_LADDER_FACTOR**j for j in range(NOISELESS_LADDER_STEPS + 1)]
-    path = solve_path([ds], ladder, cfg)
-    rungs = [est for (est,) in path]
+    rungs = [est for (est,) in solve_path([ds], ladder, cfg)]
     est = rungs[-1]
     cut = any(rung.stop_reason == "max_iters" for rung in rungs)
     resid_num = np.linalg.norm(ds.y - ds.measurements.apply(est.b_hat))

@@ -359,20 +359,19 @@ def rsc_probe(
     eta: float,
     trials: int,
     rng: np.random.Generator,
-    sketch_reps: int = 64,
 ) -> RscProbeReport:
     """Check the restricted-strong-convexity inequality on random
     candidates from the constraint set.
 
     beta_emp is the curvature slack (93 eta frak_c^2 / gamma_min) times
-    the squared Monte Carlo mean of the Rademacher sketch at the
+    the squared Monte Carlo mean of a 64-draw Rademacher sketch at the
     dataset's sample size.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     spec = ds.spec
     consts = spec.constants()
-    sketch = rademacher_sketch(spec, ds.n, sketch_reps, rng)
+    sketch = rademacher_sketch(spec, ds.n, 64, rng)
     beta_emp = 93.0 * eta * consts.frak_c**2 / consts.gamma_min * sketch.mean_op_norm**2
     min_margin = math.inf
     violations = 0

@@ -37,7 +37,7 @@ def cold_cv_error(ds: Dataset, plan: FoldPlan, lam: float, cfg: SolverConfig = S
 
 
 def stub_path(b_hats, pulled=None):
-    """Stand-in for solvers._walk_path that fits every fold with b_hats[j]
+    """Stand-in for solvers.solve_path that fits every fold with b_hats[j]
     at rung j, appending j to ``pulled`` as each rung is pulled."""
 
     def walk(subs, grid, cfg):
@@ -99,34 +99,37 @@ class TestLambdaGrid:
     def test_halving_to_exact_min(self):
         ds = entry_dataset(4.0)  # lambda_max = 2/1 * 4 = 8
         assert lambda_max(ds) == pytest.approx(8.0)
-        assert lambda_grid(ds, 1.0) == pytest.approx([8.0, 4.0, 2.0, 1.0])
+        assert lambda_grid(lambda_max(ds), 1.0) == pytest.approx([8.0, 4.0, 2.0, 1.0])
 
     def test_first_value_at_or_below_min_terminates(self):
-        ds = entry_dataset(4.0)
-        assert lambda_grid(ds, 0.9) == pytest.approx([8.0, 4.0, 2.0, 1.0, 0.5])
+        assert lambda_grid(8.0, 0.9) == [8.0, 4.0, 2.0, 1.0, 0.5]
 
     def test_zero_responses_rejected(self):
         ds = entry_dataset(0.0)
-        with pytest.raises(ValueError):
-            lambda_grid(ds, 0.5)
+        with pytest.raises(ValueError, match="top must be positive"):
+            lambda_grid(lambda_max(ds), 0.5)
 
     def test_given_top_gives_the_same_grid_without_lambda_max(self, monkeypatch):
+        # the grid is a function of its top alone: it takes no operator norm
         b_star = generate_ground_truth(6, 6, 1, stream(31))
         ds = generate_dataset(GaussianEnsemble(6, 6), b_star, 60, 0.1, seed=32)
         top = lambda_max(ds)
-        grid = lambda_grid(ds, 0.01 * top)
-        monkeypatch.setattr(crossval, "lambda_max", None)
-        assert lambda_grid(ds, 0.01 * top, top=top) == grid
-        assert lambda_grid(ds, 1.0, top=8.0) == [8.0, 4.0, 2.0, 1.0]
+        monkeypatch.setattr(solvers, "operator_norm", None)
+        grid = lambda_grid(top, 0.01 * top)
+        assert grid[0] == top and grid[-1] <= 0.01 * top < grid[-2]
+        assert all(b == a / 2.0 for a, b in zip(grid, grid[1:]))
+        assert lambda_grid(8.0, 1.0) == [8.0, 4.0, 2.0, 1.0]
+        for bad_top in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                lambda_grid(bad_top, 1.0)
         with pytest.raises(ValueError):
-            lambda_grid(ds, 1.0, top=0.0)
-        with pytest.raises(ValueError):
-            lambda_grid(ds, 0.0, top=8.0)
+            lambda_grid(8.0, 0.0)
 
     def test_grid_top_is_zero_solution_threshold(self):
         b_star = generate_ground_truth(8, 8, 2, stream(4))
         ds = generate_dataset(GaussianEnsemble(8, 8), b_star, 100, 0.1, seed=5)
-        grid = lambda_grid(ds, 0.01 * lambda_max(ds))
+        top = lambda_max(ds)
+        grid = lambda_grid(top, 0.01 * top)
         for lam in (grid[0], 1.01 * grid[0]):
             assert np.linalg.norm(solve_convex(ds, lam).b_hat) < 1e-8
         assert np.linalg.norm(solve_convex(ds, 0.95 * grid[0]).b_hat) > 1e-8
@@ -141,7 +144,7 @@ class TestCvError:
         ms = EntrySet([0, 1, 0, 1], [0, 0, 1, 1], np.ones(4), 2, 2)
         ds = Dataset(MatrixCompletion(2, 2, plain_entries=True), ms, np.zeros(4), 0.0, seed=0)
         plan = FoldPlan(k=2, assignments=np.array([0, 0, 1, 1]))
-        monkeypatch.setattr(crossval, "_walk_path", stub_path([np.zeros((2, 2))]))
+        monkeypatch.setattr(crossval, "solve_path", stub_path([np.zeros((2, 2))]))
         assert cold_cv_error(ds, plan, 1.0) == 0.0
 
     def test_matches_hand_rolled_two_fold_oracle(self):
@@ -201,7 +204,7 @@ class TestCvSelect:
     def test_tie_breaks_to_largest_lambda(self, monkeypatch):
         _, ds = self.make_instance(seed=17)
         plan = make_folds(ds.n, 3, stream(18))
-        monkeypatch.setattr(crossval, "_walk_path", stub_path([np.zeros((10, 10))] * 3))
+        monkeypatch.setattr(crossval, "solve_path", stub_path([np.zeros((10, 10))] * 3))
         grid = [4.0, 2.0, 1.0]
         res = cv_select(ds, plan, grid)
         assert np.all(res.e_hat == res.e_hat[0])
@@ -214,7 +217,8 @@ class TestCvSelect:
     def test_linear_functional_of_average(self):
         _, ds = self.make_instance(seed=19)
         plan = make_folds(ds.n, 3, stream(20))
-        grid = lambda_grid(ds, 0.1 * lambda_max(ds))
+        top = lambda_max(ds)
+        grid = lambda_grid(top, 0.1 * top)
         res = cv_select(ds, plan, grid)
         probe = stream(21).standard_normal((10, 10))
         j = res.lambda_grid.index(res.lambda_cv)
@@ -226,7 +230,8 @@ class TestCvSelect:
     def test_warm_start_consistent_with_cold_solves(self):
         _, ds = self.make_instance(seed=22)
         plan = make_folds(ds.n, 3, stream(23))
-        grid = lambda_grid(ds, 0.05 * lambda_max(ds))
+        top = lambda_max(ds)
+        grid = lambda_grid(top, 0.05 * top)
         cfg = SolverConfig(rel_obj_tol=1e-10)
         res = cv_select(ds, plan, grid, cfg)
         for j, lam in enumerate(grid):
@@ -256,7 +261,8 @@ class TestCvSelect:
         b_star = generate_ground_truth(d, d, r, stream(26))
         ds = generate_dataset(spec, b_star, n, 1.0, seed=27)
         plan = make_folds(n, 5, stream(28))
-        grid = lambda_grid(ds, 0.01 * lambda_max(ds))
+        top = lambda_max(ds)
+        grid = lambda_grid(top, 0.01 * top)
         res = cv_select(ds, plan, grid)
         cv_err = np.sum((res.b_cv - b_star) ** 2) / np.sum(b_star**2)
         oracle_err = min(
@@ -287,7 +293,7 @@ class TestStopRule:
         plan = FoldPlan(k=3, assignments=np.arange(6) % 3)
         pulled = []
         b_hats = [np.diag([np.sqrt(e), 0.0]) for e in script]
-        monkeypatch.setattr(crossval, "_walk_path", stub_path(b_hats, pulled))
+        monkeypatch.setattr(crossval, "solve_path", stub_path(b_hats, pulled))
         grid = [2.0**-j for j in range(len(script))]
         res = cv_select(ds, plan, grid)
         assert pulled == list(range(walked))
@@ -318,7 +324,8 @@ class TestLockstepFolds:
         ds = generate_dataset(spec, b_star, 103, 0.3, seed=34)
         plan = make_folds(ds.n, 4, stream(35))
         assert len(set(plan.sizes())) == 2  # 103 = 26 + 3 * 25
-        grid = lambda_grid(ds, 0.02 * lambda_max(ds))
+        top = lambda_max(ds)
+        grid = lambda_grid(top, 0.02 * top)
         cfg = {
             "default": SolverConfig(max_iters=2000, rel_obj_tol=1e-7),
             "fixed_step": SolverConfig(rel_obj_tol=1e-9),
@@ -380,7 +387,8 @@ class TestGeneralizationProbe:
             b_star = generate_ground_truth(d, d, r, stream(1000 + rep))
             ds = generate_dataset(spec, b_star, n, sigma, seed=2000 + rep)
             plan = make_folds(n, k, stream(3000 + rep))
-            grid = lambda_grid(ds, 0.01 * lambda_max(ds))
+            top = lambda_max(ds)
+            grid = lambda_grid(top, 0.01 * top)
             res = cv_select(ds, plan, grid)
             l2pi_sq = spec.l2pi_norm(res.b_cv - b_star) ** 2
             b_star_bound = spec.spikiness_norm(b_star)

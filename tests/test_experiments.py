@@ -75,11 +75,6 @@ class TestConfig:
             ExperimentConfig(sigma=0.0, estimators=("oracle", "theory2")).validate()
         ExperimentConfig(sigma=0.0, estimators=("oracle", "cv")).validate()
 
-    def test_paper_scale_restores_protocol(self):
-        cfg = ExperimentConfig(paper_scale=True).validate()
-        assert cfg.replicates == 100
-        assert cfg.calib_reps == 1000
-
     def test_child_seed_stable_and_distinct(self):
         assert child_seed(7, "data", 100, 0) == child_seed(7, "data", 100, 0)
         assert child_seed(7, "data", 100, 0) != child_seed(7, "data", 100, 1)
@@ -112,6 +107,23 @@ class TestRunFigure1:
         assert len(cache_files) == 1
         second = run_figure1(cfg)
         assert [rec.relative_error for rec in first] == [rec.relative_error for rec in second]
+
+    def test_cv_alone_reads_no_calibration(self, tmp_path):
+        # cv's grid hangs from lambda_max, not from the calibrated quantile
+        alone = run_figure1(small_fig1_cfg(tmp_path / "cv", replicates=2, estimators=("cv",)))
+        both = run_figure1(small_fig1_cfg(tmp_path / "both", replicates=2, estimators=("oracle", "cv")))
+        assert not (tmp_path / "cv").exists()  # so no calibration file
+        assert [p for p in os.listdir(tmp_path / "both") if p.startswith("calib_")]
+        assert alone == [rec for rec in both if rec.estimator == "cv"]
+
+    def test_no_estimators_fills_the_cache_and_draws_no_replicate(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate was generated")
+
+        monkeypatch.setattr(experiments, "generate_dataset", refuse)
+        cfg = small_fig1_cfg(tmp_path, n_grid=(120, 150), estimators=())
+        assert run_figure1(cfg) == []
+        assert len([p for p in os.listdir(tmp_path) if p.startswith("calib_")]) == 2
 
     def test_calibration_cache_gets_the_mode_of_the_other_outputs(self, tmp_path):
         umask = os.umask(0o022)
@@ -205,7 +217,7 @@ class TestRunFigure1:
         assert [name for name, _, _ in seen] == ["oracle", "cv"] * cfg.replicates
         for name, ds, grid in seen:
             lam_min = 1e-4 * lambda_max(ds) if name == "cv" else max(3.0 * base / 2.0, 1e-12)
-            assert grid == lambda_grid(ds, lam_min)
+            assert grid == lambda_grid(lambda_max(ds), lam_min)
 
     @pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
     def test_theory_fits_are_one_path_as_good_as_lone_solves(self, tmp_path, monkeypatch, ensemble):
@@ -218,7 +230,7 @@ class TestRunFigure1:
         cfg = small_fig1_cfg(tmp_path, ensemble=ensemble, d=8, n_grid=(120, 200), replicates=2, calib_reps=20,
                              estimators=("theory1", "theory3", "theory1", "theory2")).validate()
         walks = []
-        real_walk = experiments._walk_path
+        real_walk = experiments.solve_path
 
         def walk(datasets, grid, solver_cfg):
             fits = []
@@ -227,7 +239,7 @@ class TestRunFigure1:
                 fits.append(row[0])
                 yield row
 
-        monkeypatch.setattr(experiments, "_walk_path", walk)
+        monkeypatch.setattr(experiments, "solve_path", walk)
         records = run_figure1(cfg)
         cells = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replicates)]
         assert len(walks) == len(cells)
@@ -254,12 +266,13 @@ class TestRunFigure1:
         n = cfg.n_grid[0]
         _, _, ds = experiments._replicate(cfg, experiments.make_ensemble(cfg), n, 0)
         plan = make_folds(n, cfg.k_folds, stream(child_seed(cfg.seed, "folds", n, 0)))
-        grid = lambda_grid(ds, experiments._CV_FLOOR * lambda_max(ds))
+        top = lambda_max(ds)
+        grid = lambda_grid(top, experiments._CV_FLOOR * top)
         res = cv_select(ds, plan, grid, experiments._FIG1_SOLVER)
         walked = len(res.lambda_grid)
         assert walked < len(grid) - 5  # the walk stopped well above the floor
         trains = [ds.subset(plan.complement(fold)) for fold in range(plan.k)]
-        full = solve_path(trains, grid, experiments._FIG1_SOLVER)
+        full = list(solve_path(trains, grid, experiments._FIG1_SOLVER))
         for row, full_row in zip(res.per_fold_estimates, full[:walked], strict=True):
             for est, ref in zip(row, full_row, strict=True):
                 assert np.array_equal(est.b_hat, ref.b_hat)
@@ -525,7 +538,7 @@ class TestCli:
         cfg_file.write_text("nonsense_key=1\n")
         assert main(["figure1", "--config", str(cfg_file)]) == 2
 
-    @pytest.mark.parametrize("line", ["d=abc", "sigma=x", "n_grid=100,x", "paper_scale=maybe"])
+    @pytest.mark.parametrize("line", ["d=abc", "sigma=x", "n_grid=100,x"])
     def test_unparseable_config_file_value_exits_2_with_one_line(self, tmp_path, capsys, line):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(f"# comment\n{line}\n")
@@ -608,17 +621,15 @@ class TestCli:
             ["figure1", "--ensemble", "multi_task", "--d", "7", "--r", "3", "--sigma", "0.25", "--n", "30,60",
              "--replicates", "2", "--k-folds", "4", "--seed", "5", "--estimators", "cv, oracle",
              "--out-dir", str(tmp_path), "--calib-reps", "11", "--trials", "12", "--multiplier", "1.5",
-             "--quantile", "0.8", "--paper-scale"]
+             "--quantile", "0.8"]
         )
         cfg = cli.resolve_config(args)
         assert (cfg.ensemble, cfg.d, cfg.r, cfg.sigma, cfg.n_grid, cfg.k_folds, cfg.seed, cfg.estimators) == (
             "multi_task", 7, 3, 0.25, (30, 60), 4, 5, ("cv", "oracle")
         )
-        assert (cfg.out_dir, cfg.trials, cfg.multiplier, cfg.calib_quantile, cfg.paper_scale) == (
-            str(tmp_path), 12, 1.5, 0.8, True
-        )
-        # paper scale overrides the replicate and calibration counts
-        assert (cfg.replicates, cfg.calib_reps) == (100, 1000)
+        assert (cfg.out_dir, cfg.trials, cfg.multiplier, cfg.calib_quantile) == (str(tmp_path), 12, 1.5, 0.8)
+        # explicit counts land as given
+        assert (cfg.replicates, cfg.calib_reps) == (2, 11)
 
     def test_sigma_zero_with_a_theory_estimator_exits_2_before_writing(self, tmp_path, capsys):
         argv = ["figure1", "--d", "4", "--r", "1", "--n", "20", "--replicates", "1", "--calib-reps", "10", "--sigma", "0"]

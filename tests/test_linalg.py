@@ -267,11 +267,9 @@ class TestGramKernelAccuracy:
         bound = norm * (1.0 + 10.0**log_gap if above else 1.0 - 10.0**log_gap)
         certified = above and norm > 0.0
         d = min(m.shape)
-        buffers = (np.full((d, d), np.nan), np.full((d, d), np.nan))
-        assert _operator_norm_unless_below(m, bound) == (None if certified else norm)
-        assert _operator_norm_unless_below(m, bound, buffers) == (None if certified else norm)
-        assert _operator_norm_unless_below(m, norm) == norm
-        assert _operator_norm_unless_below(m, norm, buffers) == norm
+        for buffers in ((np.empty((d, d)), np.empty((d, d))), (np.full((d, d), np.nan), np.full((d, d), np.nan))):
+            assert _operator_norm_unless_below(m, bound, buffers) == (None if certified else norm)
+            assert _operator_norm_unless_below(m, norm, buffers) == norm
 
     @_KERNEL_SETTINGS
     @given(m=_spectral_matrices(), log_ratio=st.floats(-0.5, 3.0))

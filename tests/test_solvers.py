@@ -511,10 +511,10 @@ class TestSolveConvexBatch:
         _, _, ds = mc_instance(seed=17)
         _, _, other = mc_instance(d=8, seed=18)
         with pytest.raises(ValueError, match="one matrix shape"):
-            solve_path([ds, other], [1.0])[0]
+            next(solve_path([ds, other], [1.0]))
         with pytest.raises(ValueError, match="positive"):
-            solve_path([ds], [0.0])[0]
-        assert solve_path([], [1.0])[0] == []
+            next(solve_path([ds], [0.0]))
+        assert list(solve_path([], [1.0])) == [[]]
 
 
 def secant_chain(ds, grid, cfg=SolverConfig()):
@@ -537,7 +537,7 @@ class TestSolvePath:
         _, _, ds = mc_instance(seed=19)
         grid = [0.5 * lambda_max(ds), 0.2 * lambda_max(ds), 0.05 * lambda_max(ds)]
         monkeypatch.setattr(solvers, "_soft_threshold_stack", None)  # one dataset takes the lone route
-        path = solve_path([ds], grid)
+        path = list(solve_path([ds], grid))
         monkeypatch.undo()
         assert [len(row) for row in path] == [1, 1, 1]
         for (est,), lone in zip(path, secant_chain(ds, grid)):
@@ -551,7 +551,7 @@ class TestSolvePath:
         _, _, ds = mc_instance(seed=36)
         datasets = [ds, ds.subset(np.arange(0, ds.n, 2))][:sets]
         grid = [frac * lambda_max(ds) for frac in (0.5, 0.2, 0.05)][:rungs]
-        path = solve_path(datasets, grid)
+        path = list(solve_path(datasets, grid))
         for i, part in enumerate(datasets):
             first = solve_convex(part, grid[0])
             assert_same_estimate(path[0][i], first)
@@ -563,7 +563,7 @@ class TestSolvePath:
         grid = [frac * lambda_max(ds) for frac in (1.0, 0.7, 0.2, 0.15)]
         ratios = [(grid[j + 1] - grid[j]) / (grid[j] - grid[j - 1]) for j in (1, 2)]
         assert ratios == pytest.approx([5.0 / 3.0, 0.1], rel=1e-12)
-        path = solve_path(parts, grid)
+        path = list(solve_path(parts, grid))
         for i, part in enumerate(parts):
             b = [path[j][i].b_hat for j in range(len(grid))]
             assert_same_estimate(path[0][i], solve_convex(part, grid[0]))
@@ -598,7 +598,25 @@ class TestSolvePath:
     def test_rejects_bad_grids(self, grid, match):
         _, _, ds = mc_instance(seed=20)
         with pytest.raises(ValueError, match=match):
-            solve_path([ds, ds], grid)
+            next(solve_path([ds, ds], grid))
+
+    def test_solves_a_rung_only_when_it_is_pulled(self, monkeypatch):
+        _, _, ds = mc_instance(seed=21)
+        _, _, other = mc_instance(d=8, seed=22)
+        solves = []
+        real = solvers.solve_convex
+        monkeypatch.setattr(solvers, "solve_convex", lambda *a: solves.append(a[1]) or real(*a))
+        grid = [frac * lambda_max(ds) for frac in (0.5, 0.25, 0.125, 0.0625, 0.03125)]
+        path = solve_path([ds], grid)
+        assert solves == []
+        rows = [next(path), next(path)]
+        assert solves == grid[:2] and [est.lam for (est,) in rows] == grid[:2]
+        # the checks run at the first pull, before any solve
+        for datasets, bad in (([ds], [1.0, 2.0]), ([ds], []), ([ds], [0.0]), ([ds, other], grid)):
+            path = solve_path(datasets, bad)
+            with pytest.raises(ValueError):
+                next(path)
+        assert solves == grid[:2]
 
 
 class TestLipschitzEstimate:
@@ -614,7 +632,8 @@ class TestLipschitzEstimate:
         assert solve_noiseless(ds).converged
         _, _, noisy = mc_instance(seed=32)
         plan = crossval.make_folds(noisy.n, 3, stream(35))
-        assert crossval.cv_select(noisy, plan, crossval.lambda_grid(noisy, 0.05 * lambda_max(noisy))).converged
+        top = lambda_max(noisy)
+        assert crossval.cv_select(noisy, plan, crossval.lambda_grid(top, 0.05 * top)).converged
 
 
 class TestSolveFactored:

@@ -302,7 +302,7 @@ class TestRscProbe:
         spec = MatrixCompletion(d, d)
         b_star = generate_ground_truth(d, d, 1, stream(22))
         ds = generate_dataset(spec, b_star, 50 * d * d, 0.0, seed=23)
-        report = rsc_probe(ds, spec.constants().nu0, 72.0, 50, stream(24), sketch_reps=16)
+        report = rsc_probe(ds, spec.constants().nu0, 72.0, 50, stream(24))
         assert report.min_margin > 0.0
         assert report.violation_count == 0
         assert report.beta_emp >= 0.0
@@ -313,7 +313,7 @@ class TestRscProbe:
         b_star = generate_ground_truth(d, d, 2, stream(25))
         n = int(20 * d * math.log(d))
         ds = generate_dataset(spec, b_star, n, 1.0, seed=26)
-        report = rsc_probe(ds, 1e-4, 144.0, 100, stream(27), sketch_reps=16)
+        report = rsc_probe(ds, 1e-4, 144.0, 100, stream(27))
         assert report.violation_count == 0
 
     def test_margin_sign_invariance(self):
@@ -339,7 +339,7 @@ class TestRscProbe:
         spec = MatrixCompletion(6, 6)
         ds = generate_dataset(spec, np.eye(6), 100, 0.0, seed=31)
         with pytest.raises(ValueError, match="constraint set"):
-            rsc_probe(ds, 10.0, 72.0, 3, stream(32), sketch_reps=4)
+            rsc_probe(ds, 10.0, 72.0, 3, stream(32))
 
 
 class TestErrorBoundRhs:
