@@ -29,7 +29,8 @@ grid = lambda_grid(top, 0.01 * top)
 result = cv_select(ds, plan, grid)  # the K fold fits walk the grid in lockstep
 
 # the walk stops once the error has risen at two consecutive rungs, so
-# the table ends two rungs after the minimum, not at the grid's floor
+# the table ends two rungs after the minimum, not at the grid's floor;
+# those last two rows may be loose fits, solved only to confirm the rise
 
 print("\n lambda      out-of-fold error")
 for lam, err in zip(result.lambda_grid, result.e_hat):

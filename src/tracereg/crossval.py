@@ -15,7 +15,14 @@ one rung at a time and stops once the out-of-fold error has risen at
 two consecutive rungs, so the rungs past a minimum, the slowest ones on
 a decreasing grid, are never solved; the grid may then run deep enough
 to reach the minimum without that depth being paid for (the early end
-of glmnet's lam path, Friedman, Hastie & Tibshirani 2010).
+of glmnet's lam path, Friedman, Hastie & Tibshirani 2010).  A rung that
+is likely past the minimum is first solved loosely, sent into the walk
+as a looser SolverConfig, and kept only when its error clearly rose, so
+the rises that end the walk cost few iterations while every rung that
+can win is solved at the caller's tolerance.  The margin that makes a
+rise clear is empirical: unlike the CV-error bounds from approximate
+path solutions of Shibagaki, Suzuki, Karasuyama & Takeuchi (2015) and
+Ndiaye, Le, Fercoq, Salmon & Takeuchi (2019), it certifies nothing.
 """
 
 from __future__ import annotations
@@ -82,12 +89,24 @@ def lambda_grid(top: float, lambda_min: float) -> list[float]:
 
 # consecutive rises of the out-of-fold error after which the walk stops
 CV_STOP_RISES = 2
+# A rung is probed (solved first at the looser of the caller's tolerance
+# and _PROBE_TOL) when a rise is plausible: the previous rung's error rose
+# or fell by less than _PROBE_FALL of itself.  The probe is kept only when
+# its error exceeds the previous rung's by more than _PROBE_MARGIN
+# (relative); otherwise the rung is solved at the caller's tolerance.
+_PROBE_TOL = 1e-4
+_PROBE_FALL = 0.1
+_PROBE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
 class CvResult:
     """The grid rungs walked, their out-of-fold errors, the winning lam,
-    the averaged estimator at that lam, and every (fold, lam) fit walked."""
+    the averaged estimator at that lam, and every (fold, lam) fit walked.
+    Only the last ``CV_STOP_RISES`` rows of ``e_hat`` and
+    ``per_fold_estimates`` may be loose probe fits (see :func:`cv_select`);
+    every other row, the winner's included, is solved at the caller's
+    config."""
 
     lambda_grid: list[float]
     e_hat: np.ndarray
@@ -119,6 +138,22 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
     the minimum over those rungs, ties going to the largest lam (strongest
     regularization); on an error curve that falls and then rises it is the
     minimum over the whole grid.
+
+    A rise is confirmed with loose solves.  When the previous rung's
+    ``e_hat`` rose or fell by less than 10%, the rung is first solved at
+    ``rel_obj_tol`` max(cfg's, 1e-4) (a probe, sent into the walk).  The
+    probe's fits are kept only when its ``e_hat`` is more than 1e-3
+    (relative) above the previous rung's, and so above the running
+    minimum: such a rung cannot win.  Otherwise the rung is solved at
+    ``cfg`` from the start a walk without probes uses, re-solving first a
+    kept probe before it.  So every rung that can win is solved at
+    ``cfg`` exactly as without probes, and only the last
+    ``CV_STOP_RISES`` rows of the result may be loose fits.  The margin
+    is empirical, not certified: a loose fit that overstates its rung's
+    error by more than 1e-3 would end the walk early.  Certified rules
+    bound the validation error from a fit's suboptimality (Shibagaki,
+    Suzuki, Karasuyama & Takeuchi 2015; Ndiaye, Le, Fercoq, Salmon &
+    Takeuchi 2019).
     """
     if len(plan.assignments) != ds.n or np.any((plan.assignments < 0) | (plan.assignments >= plan.k)):
         raise ValueError("fold plan does not cover the dataset")
@@ -126,17 +161,35 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
     sizes = plan.sizes()
     holds = [ds.subset(plan.indices(fold)) for fold in range(plan.k)]
     trains = [ds.subset(plan.complement(fold)) for fold in range(plan.k)]
-    estimates, errors, rises = [], [], 0
-    for row in solve_path(trains, grid, cfg):
+    probe = SolverConfig(cfg.max_iters, max(cfg.rel_obj_tol, _PROBE_TOL))
+    walk = solve_path(trains, grid, cfg)
+    # rows [0, exact) were solved at cfg; a rung before settle, where a probe
+    # was not a clear rise, is not probed again
+    estimates, errors, exact, settle, sent = [], [], 0, 0, None
+    while True:
+        try:
+            row = walk.send(sent)
+        except StopIteration:
+            break
         total = 0.0
         for hold, est in zip(holds, row):
             resid = hold.y - hold.measurements.apply(est.b_hat)
             total += float(resid @ resid)
-        rises = rises + 1 if errors and total / n > errors[-1] else 0
-        errors.append(total / n)
+        error = total / n
+        if sent is None:
+            # a row at cfg after kept probes is the first of them, re-solved
+            del estimates[exact:], errors[exact:]
+            exact = len(estimates) + 1
+        elif not error > (1.0 + _PROBE_MARGIN) * errors[-1]:
+            settle, sent = len(estimates) + 1, None
+            continue
         estimates.append(row)
-        if rises == CV_STOP_RISES:
+        errors.append(error)
+        recent = errors[-CV_STOP_RISES - 1:]
+        if len(recent) > CV_STOP_RISES and all(a < b for a, b in zip(recent, recent[1:])):
             break
+        plausible = len(errors) >= 2 and errors[-1] > (1.0 - _PROBE_FALL) * errors[-2]
+        sent = probe if plausible and probe != cfg and len(estimates) >= settle else None
     e_hat = np.array(errors)
     best = 0
     for j in range(1, len(e_hat)):

@@ -391,12 +391,12 @@ def summarize(records: list[ExperimentRecord]) -> list[SummaryRow]:
 
 # the text form of a value both ways: _fmt writes the CSVs and config.echo;
 # _parse_value reads them, the config file and the CLI flags
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_BOOL_WORDS = {"true": True, "false": False}
 
 _PARSERS = {
     "int": int,
     "float": float,
-    "bool": lambda raw: _BOOL_WORDS[raw.lower()],
+    "bool": lambda raw: _BOOL_WORDS[raw],
     "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v),
     "tuple[str, ...]": lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()),
 }

@@ -190,9 +190,10 @@ class RowVectorSet(MeasurementSet):
 
     def adjoint(self, w):
         w = self._check_w(w)
-        out = np.zeros((self.d_r, self.d_c))
-        np.add.at(out, self.rows, w[:, None] * self.vecs)
-        return out
+        # built per call: stored like EntrySet._flat it would hold n * d_c ints
+        flat = (self.rows[:, None] * self.d_c + np.arange(self.d_c)).ravel()
+        acc = np.bincount(flat, weights=(w[:, None] * self.vecs).ravel(), minlength=self.d_r * self.d_c)
+        return acc.reshape(self.d_r, self.d_c)
 
     def xi_dot(self, v):
         n = len(self)

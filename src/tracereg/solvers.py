@@ -21,14 +21,18 @@ with warm starts and solves each rung only when its row of estimates is
 pulled.  It is the one walk behind cross-validation (which stops pulling
 once the held-out error has turned up), the figure1 oracle, the figure1
 theory estimators (a replicate's theory penalties, largest first) and
-the noiseless continuation ladder.  From its third rung on it starts
-each rung from the secant prediction of the last two solutions (the
-predictor step of numerical continuation), not from the last solution
-itself.  It runs several same-shape problems (the K cross-validation
-folds) in lockstep, taking each round's prox steps from one stacked
-symmetric SVD (``linalg._soft_threshold_stack``, the routine
-soft_threshold calls, so the two agree bit for bit); the secant start
-is formed ahead of either route, so each Estimate equals the one a lone
+the noiseless continuation ladder.  A caller may ``send()`` it another
+SolverConfig to solve the next rung provisionally (cross-validation
+solves loosely a rung that likely lies past the held-out minimum); the
+next plain pull rewinds past the provisional rungs, so every row solved
+at the walk's own config is the one a plain walk yields.  From its
+third rung on it starts each rung from the secant prediction of the last
+two solutions (the predictor step of numerical continuation), not from
+the last solution itself.  It runs several same-shape problems (the K
+cross-validation folds) in lockstep, taking each round's prox steps from
+one stacked symmetric SVD (``linalg._soft_threshold_stack``, the routine
+soft_threshold calls, so the two agree bit for bit); the secant start is
+formed ahead of either route, so each Estimate equals the one a lone
 solve_convex from the same start returns.
 """
 
@@ -298,6 +302,14 @@ def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> Iterator[l
     rung's solution than b_j does (r_j is 0.5 on a halving grid, 0.2 on
     a ladder falling 5x per rung).
 
+    ``next()`` (or ``send(None)``) solves the next rung at ``cfg``.
+    ``send(c)`` with a SolverConfig ``c`` solves it at ``c`` instead and
+    yields a *provisional* row, which seeds only the next provisional
+    rung.  The first pull at ``cfg`` after provisional rows rewinds to
+    the first of them and solves it from the rows last solved at ``cfg``,
+    so every row solved at ``cfg`` equals the row of a walk that was
+    never sent a config; a caller reads a row's rung from ``row[0].lam``.
+
     One dataset is solved by solve_convex itself.  Several, which must
     share one measurement shape, run each rung in lockstep: each keeps its
     own adaptive step, momentum, restart and stop state and leaves
@@ -318,19 +330,28 @@ def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> Iterator[l
     datasets = list(datasets)
     if len({ds.measurements.shape for ds in datasets}) > 1:
         raise ValueError("batched problems must share one matrix shape")
-    prev, warm = None, [None] * len(datasets)
-    for j, lam in enumerate(grid):
+    # (next rung, its predecessor's row, its starts) after the last rung solved at cfg
+    exact = (0, None, [None] * len(datasets))
+    sent = None
+    while True:
+        if sent is None:
+            j, prev, warm = exact
+        if j == len(grid):
+            return
+        lam, rung_cfg = grid[j], cfg if sent is None else sent
         if len(datasets) == 1:
-            row = [solve_convex(datasets[0], lam, cfg, warm[0])]
+            row = [solve_convex(datasets[0], lam, rung_cfg, warm[0])]
         else:
-            row = _lockstep_rung(datasets, lam, cfg, warm)
+            row = _lockstep_rung(datasets, lam, rung_cfg, warm)
         warm = [est.b_hat for est in row]
         if j >= 1 and j + 1 < len(grid):
             # secant predictor: extrapolate the last two solutions to the next lam
             r = (grid[j + 1] - lam) / (lam - grid[j - 1])
             warm = [b + r * (b - est.b_hat) for b, est in zip(warm, prev)]
-        prev = row
-        yield row
+        j, prev = j + 1, row
+        if sent is None:
+            exact = (j, prev, warm)
+        sent = yield row
 
 
 def _lockstep_rung(datasets: list[Dataset], lam: float, cfg: SolverConfig, x0s: list) -> list[Estimate]:

@@ -36,15 +36,28 @@ def cold_cv_error(ds: Dataset, plan: FoldPlan, lam: float, cfg: SolverConfig = S
     return float(cv_select(ds, plan, [lam], cfg).e_hat[0])
 
 
-def stub_path(b_hats, pulled=None):
+def stub_path(b_hats, pulled=None, probed=None):
     """Stand-in for solvers.solve_path that fits every fold with b_hats[j]
-    at rung j, appending j to ``pulled`` as each rung is pulled."""
+    at rung j, or with probed[j] when the rung is sent a config (a probe),
+    appending (j, the config sent or None) to ``pulled`` as each rung is
+    solved.  Like solve_path, a plain pull after probed rungs rewinds to
+    the first of them."""
 
     def walk(subs, grid, cfg):
-        for j, (lam, b_hat) in enumerate(zip(grid, b_hats)):
+        j = exact = 0
+        sent = None
+        while True:
+            if sent is None:
+                j = exact
+            if j == len(grid):
+                return
             if pulled is not None:
-                pulled.append(j)
-            yield [
+                pulled.append((j, sent))
+            lam, b_hat = grid[j], (b_hats if sent is None or probed is None else probed)[j]
+            j += 1
+            if sent is None:
+                exact = j
+            sent = yield [
                 Estimate(b_hat=b_hat, lam=lam, objective=objective(sub, lam, b_hat), iters=0, converged=True, method="convex")
                 for sub in subs
             ]
@@ -296,12 +309,72 @@ class TestStopRule:
         monkeypatch.setattr(crossval, "solve_path", stub_path(b_hats, pulled))
         grid = [2.0**-j for j in range(len(script))]
         res = cv_select(ds, plan, grid)
-        assert pulled == list(range(walked))
+        # rungs are first solved in order and none past the stop; a probe
+        # whose rise is not clear re-solves its rung (and a kept probe before it)
+        assert list(dict.fromkeys(j for j, _ in pulled)) == list(range(walked))
+        assert {j for j, sent in pulled if sent is None} >= set(range(walked - crossval.CV_STOP_RISES))
         assert res.lambda_grid == grid[:walked]
         assert res.e_hat.tolist() == script[:walked]
         assert len(res.per_fold_estimates) == walked
         assert res.lambda_cv == grid[best]
         assert np.array_equal(res.b_cv, b_hats[best])
+
+
+class TestProbedRises:
+    """cv_select solves a rung loosely first when a rise is plausible, and
+    keeps the loose fits only when their rise is clear.  The stub walk
+    scores e at each rung solved at the caller's config and the probe's own
+    value where the rung is probed; the result must match the walk that
+    never probes (the caller's tolerance already at the probe's)."""
+
+    PROBE = SolverConfig(rel_obj_tol=crossval._PROBE_TOL)
+
+    # (e_hat at cfg, probe e_hat where it differs, solves as (rung, probed), winning rung)
+    CASES = {
+        # rung 3's probe rises by half the margin: not clear, so the rung is
+        # solved at cfg, where it is the minimum
+        "rise_inside_margin_is_resolved": (
+            [16, 4, 3.8, 1, 4, 9, 16],
+            {3: 3.8 * (1 + 0.5 * crossval._PROBE_MARGIN)},
+            [(0, 0), (1, 0), (2, 0), (3, 1), (3, 0), (4, 0), (5, 1)],
+            3,
+        ),
+        # rung 3's probe is a clear rise and kept; rung 4's probe is not a
+        # clear rise over it, so the walk rewinds: rung 3, then rung 4 at
+        # cfg, unprobed though rung 3's error fell by less than 10%
+        "rewind_past_a_kept_probe": (
+            [16, 4, 3.8, 3.7, 1, 4, 9, 16],
+            {3: 5.0, 4: 5.0},
+            [(0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (3, 0), (4, 0), (5, 0), (6, 1)],
+            4,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_matches_the_walk_without_probes(self, case, monkeypatch):
+        script, loose, solves, best = self.CASES[case]
+        ms = EntrySet(np.zeros(6), np.zeros(6), np.ones(6), 2, 2)
+        ds = Dataset(MatrixCompletion(2, 2, plain_entries=True), ms, np.zeros(6), 0.0, seed=0)
+        plan = FoldPlan(k=3, assignments=np.arange(6) % 3)
+        b_hats = [np.diag([np.sqrt(e), 0.0]) for e in script]
+        probed = [np.diag([np.sqrt(loose.get(j, e)), 0.0]) for j, e in enumerate(script)]
+        grid = [2.0**-j for j in range(len(script))]
+        runs = {}
+        for cfg in (SolverConfig(), self.PROBE):
+            pulled = []
+            monkeypatch.setattr(crossval, "solve_path", stub_path(b_hats, pulled, probed))
+            runs[cfg] = cv_select(ds, plan, grid, cfg), pulled
+        (res, pulled), (exact, exact_pulled) = runs[SolverConfig()], runs[self.PROBE]
+        assert pulled == [(j, self.PROBE if probe else None) for j, probe in solves]
+        # the caller's tolerance at the probe's: nothing is sent
+        assert exact_pulled == [(j, None) for j in range(len(exact.lambda_grid))]
+        assert res.lambda_grid == exact.lambda_grid
+        assert res.lambda_cv == exact.lambda_cv == grid[best]
+        assert np.array_equal(res.b_cv, exact.b_cv)
+        kept = len(res.lambda_grid) - 1  # only the last row is a probe
+        assert res.e_hat[:kept].tolist() == exact.e_hat[:kept].tolist()
+        for row, ref in zip(res.per_fold_estimates[:kept], exact.per_fold_estimates[:kept], strict=True):
+            assert all(np.array_equal(est.b_hat, r.b_hat) for est, r in zip(row, ref, strict=True))
 
 
 SPECS = [

@@ -9,7 +9,7 @@ import pytest
 
 from tracereg import calibrate_lambda0, cli, experiments, solvers, stream
 from tracereg.cli import load_config_file, main
-from tracereg.crossval import cv_select, lambda_grid, make_folds
+from tracereg.crossval import CV_STOP_RISES, cv_select, lambda_grid, make_folds
 from tracereg.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -259,7 +259,7 @@ class TestRunFigure1:
                     for c, fit in zip((3, 2, 1), fits)]
             assert sorted(got) == sorted(want + want[-1:])  # theory1 was requested twice
 
-    def test_cv_walk_is_a_prefix_of_the_full_path(self, tmp_path):
+    def test_cv_walk_is_a_prefix_of_the_full_path(self, tmp_path, monkeypatch):
         # one replicate of the figure1 protocol (plain-entry matrix
         # completion, sigma=1, its folds, solver settings and CV grid)
         cfg = small_fig1_cfg(tmp_path, d=20, n_grid=(400,), k_folds=5).validate()
@@ -268,12 +268,26 @@ class TestRunFigure1:
         plan = make_folds(n, cfg.k_folds, stream(child_seed(cfg.seed, "folds", n, 0)))
         top = lambda_max(ds)
         grid = lambda_grid(top, experiments._CV_FLOOR * top)
+        solved_at = {}  # id of each lockstep row -> the config it was solved at
+        rung = solvers._lockstep_rung
+
+        def recording(sets, lam, at, x0s):
+            row = rung(sets, lam, at, x0s)
+            solved_at[id(row)] = at
+            return row
+
+        monkeypatch.setattr(solvers, "_lockstep_rung", recording)
         res = cv_select(ds, plan, grid, experiments._FIG1_SOLVER)
+        monkeypatch.undo()
         walked = len(res.lambda_grid)
         assert walked < len(grid) - 5  # the walk stopped well above the floor
+        exact = [solved_at[id(row)] == experiments._FIG1_SOLVER for row in res.per_fold_estimates]
+        # the rows solved at the figure1 config are a prefix; at most the
+        # last CV_STOP_RISES rows are loose probes
+        assert exact == sorted(exact, reverse=True) and sum(exact) >= walked - CV_STOP_RISES
         trains = [ds.subset(plan.complement(fold)) for fold in range(plan.k)]
         full = list(solve_path(trains, grid, experiments._FIG1_SOLVER))
-        for row, full_row in zip(res.per_fold_estimates, full[:walked], strict=True):
+        for row, full_row in zip(res.per_fold_estimates[:sum(exact)], full[:sum(exact)], strict=True):
             for est, ref in zip(row, full_row, strict=True):
                 assert np.array_equal(est.b_hat, ref.b_hat)
                 assert (est.iters, est.stop_reason) == (ref.iters, ref.stop_reason)
@@ -422,6 +436,13 @@ class TestEmitOutputs:
         recovery = run_exact_recovery(cfg)
         assert {rec.success for rec in recovery} == {True, False}
         assert read_records_csv(emit_outputs(recovery, summarize(recovery), cfg)["records"]) == recovery
+
+    @pytest.mark.parametrize("word", ["True", "yes", "1", "no", "0"])
+    def test_bool_column_reads_only_the_written_words(self, tmp_path, word):
+        path = tmp_path / "records.csv"
+        path.write_text(f"estimator,n,replicate,relative_error,lambda_used,converged,seed\ncv,10,0,0.5,0.1,{word},1\n")
+        with pytest.raises(ConfigError, match="cannot parse converged"):
+            read_records_csv(str(path))
 
     def test_records_header(self, outputs):
         _, _, paths, _ = outputs

@@ -140,6 +140,16 @@ class TestAdjoint:
             assert out.shape == (d_r, d_c)
             assert np.array_equal(out, np.tensordot(w, mats, axes=1))
 
+    @pytest.mark.parametrize("n, d_r, d_c", [(1, 4, 3), (6, 1, 5), (6, 5, 1), (1, 1, 1), (40, 3, 8), (800, 20, 20)])
+    def test_row_vector_adjoint_is_the_add_at_sum_bit_for_bit(self, n, d_r, d_c):
+        rng = stream(15)
+        for _ in range(3):
+            # few rows, so most rows repeat
+            rows, vecs, w = rng.integers(0, d_r, n), rng.standard_normal((n, d_c)), rng.standard_normal(n)
+            ref = np.zeros((d_r, d_c))
+            np.add.at(ref, rows, w[:, None] * vecs)
+            assert np.array_equal(RowVectorSet(rows, vecs, d_r, d_c).adjoint(w), ref)
+
     def test_length_mismatch(self):
         ms = MultiTask(3, 3).sample_batch(5, stream(13))
         with pytest.raises(ValueError):

@@ -572,6 +572,45 @@ class TestSolvePath:
                 start = b[j] + r * (b[j] - b[j - 1])
                 assert_same_estimate(path[j + 1][i], solve_convex(part, grid[j + 1], x0=start))
 
+    @pytest.mark.parametrize("sets", [1, 3])
+    def test_sent_configs_solve_provisional_rungs_and_plain_pulls_rewind(self, sets):
+        _, _, ds = mc_instance(seed=40)
+        datasets = [ds.subset(np.arange(i, ds.n, 3)) for i in range(3)][:sets]
+        grid = [frac * lambda_max(ds) for frac in (0.5, 0.3, 0.2, 0.1, 0.05, 0.02)]
+        loose = SolverConfig(rel_obj_tol=1e-4)
+        plain = list(solve_path(datasets, grid))
+        # (config sent, rung solved): two provisional rungs, then a rewind;
+        # one more, then a rewind; the last rung, then a rewind at the grid's end
+        script = [(None, 0), (None, 1), (loose, 2), (loose, 3), (None, 2), (None, 3),
+                  (loose, 4), (None, 4), (loose, 5), (None, 5)]
+        walk = solve_path(datasets, grid)
+        rows = [(sent, walk.send(sent)) for sent, _ in script]
+        assert [row[0].lam for _, row in rows] == [grid[j] for _, j in script]
+        for (sent, row), (_, j) in zip(rows, script):
+            if sent is None:
+                for est, ref in zip(row, plain[j], strict=True):
+                    assert_same_estimate(est, ref)
+
+        def secant(j, new, old):
+            r = (grid[j + 1] - grid[j]) / (grid[j] - grid[j - 1])
+            return new.b_hat + r * (new.b_hat - old.b_hat)
+
+        # a provisional rung starts from the rows before it, provisional or not
+        probes = {j: row for (sent, row), (_, j) in zip(rows, script) if sent is not None}
+        starts = {2: (plain[1], plain[0]), 3: (probes[2], plain[1]), 4: (plain[3], plain[2]), 5: (plain[4], plain[3])}
+        for j, row in probes.items():
+            for i, part in enumerate(datasets):
+                start = secant(j - 1, starts[j][0][i], starts[j][1][i])
+                assert_same_estimate(row[i], solve_convex(part, grid[j], loose, x0=start))
+                assert row[i].iters < plain[j][i].iters
+        with pytest.raises(StopIteration):
+            next(walk)
+        walk = solve_path(datasets, grid)
+        for _ in grid:
+            next(walk)
+        with pytest.raises(StopIteration):
+            walk.send(loose)
+
     def test_noiseless_ladder_takes_fewer_prox_steps_than_a_plain_chain(self, monkeypatch):
         d, r = 20, 2
         b_star = generate_ground_truth(d, d, r, stream(38))
