@@ -8,9 +8,9 @@ weighted by fold size.
 The K fold fits walk the grid together by pulling
 ``solvers.solve_path``, warm-started from rung to rung (from the third
 rung on at the secant prediction of the fold's last two fits) and
-solved in lockstep: each round takes the K prox steps from one stacked
-eigendecomposition, and every fold's fit is bit-identical to a chain of
-lone ``solve_convex`` calls on it from the same starts.  The walk pulls
+solved in lockstep: each round takes the K prox steps from one call of
+the shared prox kernel, and every fold's fit is bit-identical to a chain
+of lone ``solve_convex`` calls on it from the same starts.  The walk pulls
 one rung at a time and stops once the out-of-fold error has risen at
 two consecutive rungs, so the rungs past a minimum, the slowest ones on
 a decreasing grid, are never solved; the grid may then run deep enough
@@ -77,10 +77,10 @@ def lambda_grid(top: float, lambda_min: float) -> list[float]:
     a value at or below lambda_min is reached (that value is included).
     Callers start it at the zero-solution threshold ``lambda_max(ds)``.
     """
-    if lambda_min <= 0:
+    if not lambda_min > 0:
         raise ValueError("lambda_min must be positive")
-    if not top > 0:
-        raise ValueError(f"grid top must be positive, got {top} (lambda_max is 0 when all responses are)")
+    if not 0 < top < np.inf:
+        raise ValueError(f"grid top must be positive and finite, got {top} (lambda_max is 0 when all responses are)")
     grid = [top]
     while grid[-1] > lambda_min:
         grid.append(grid[-1] / 2.0)

@@ -190,8 +190,9 @@ def _calibration_quantile(cfg: ExperimentConfig, spec: EnsembleSpec, n: int) -> 
 
 def _read_cached_quantile(path: str) -> float | None:
     """Cached quantile at ``path``, or None when there is none.  A file that
-    does not parse or holds no finite ``quantile_value`` is treated as
-    absent, with a warning, so the caller recomputes and overwrites it."""
+    does not parse or holds no finite non-negative ``quantile_value`` is
+    treated as absent, with a warning, so the caller recomputes and
+    overwrites it (zero is valid: sigma = 0 calibrates to 0)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             value = float(json.load(fh)["quantile_value"])
@@ -200,8 +201,8 @@ def _read_cached_quantile(path: str) -> float | None:
     except (ValueError, KeyError, TypeError) as exc:
         warnings.warn(f"ignoring unreadable calibration cache {path}: {exc!r}")
         return None
-    if not math.isfinite(value):
-        warnings.warn(f"ignoring calibration cache {path}: quantile_value {value} is not finite")
+    if not 0.0 <= value < math.inf:
+        warnings.warn(f"ignoring calibration cache {path}: quantile_value {value} is not a finite non-negative number")
         return None
     return value
 

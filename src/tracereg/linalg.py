@@ -14,11 +14,11 @@ them: the prox is accurate to about eps * s_max / tau relative, and the
 operator norm to a few eps.  The nuclear norm, numerical rank, thin SVD
 and projectors use ``gesdd``.
 
-Cross-validation solves its K fold problems in lockstep and takes their
-prox steps from the private ``_soft_threshold_stack``: one symmetric SVD
-of the stacked Gram matrices, the routine ``soft_threshold`` calls on
-one, then per matrix the same truncated product, so the two agree bit
-for bit.
+Soft thresholding has one kernel, the private ``_soft_threshold_stack``:
+one stacked symmetric SVD of the Gram matrices (by ``_gram``) of
+same-shape matrices, each with its own tau, then per matrix one
+truncated product.  ``soft_threshold`` is its one-matrix call, and the
+K lockstep cross-validation folds take their prox steps in one call.
 
 Calibration screens its noise draws with the private
 ``_operator_norm_unless_below``: a Cholesky factorization of the shifted
@@ -212,26 +212,21 @@ def soft_threshold(m, tau: float, singulars: np.ndarray | None = None) -> np.nda
     over the k singular values above tau: a matrix function of the
     min(d_r, d_c)-square Gram matrix, about 0.6x the cost of a full SVD
     of m at d = 200.  Its relative error is about eps * s_max / tau.
+    It is the stacked kernel of the cross-validation folds on one matrix.
     """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    a, wide = _tall(_as_matrix(m))
-    _, s2, vh = np.linalg.svd(a.T @ a, hermitian=True)
-    s = np.sqrt(s2)
-    shrunk = _shrinkage(s, tau, singulars)
-    k = int(np.count_nonzero(s > tau))
-    return _gram_product(a, wide, vh[:k].T, shrunk[:k] / s[:k])
+    return _soft_threshold_stack([m], [tau], None if singulars is None else singulars[None])[0]
 
 
 def _soft_threshold_stack(ms, taus, singulars: np.ndarray | None = None) -> list[np.ndarray]:
     """:func:`soft_threshold` of each of P same-shape matrices ``ms`` with
-    its own ``taus[p]``, bit for bit, from one stacked
-    ``np.linalg.svd(..., hermitian=True)`` of their Gram matrices, the
-    routine soft_threshold calls on one (the same LAPACK solve for each
-    matrix).  The input matrices are not copied into one array: the BLAS
-    products take the same path as in soft_threshold only when every
-    operand has the same memory layout.  Row p of ``singulars`` (shape
-    (P, min(d_r, d_c))) receives the p-th shrunk singular values.
+    its own ``taus[p]``, from one stacked ``np.linalg.svd(...,
+    hermitian=True)`` of their Gram matrices (the same LAPACK solve for
+    each matrix as for one alone), so a matrix's result does not depend
+    on the others in the stack.  The input matrices are not copied into
+    one array, which would change the memory layout of a Fortran-ordered
+    one, and with it the BLAS path and the last bits of its products.
+    Row p of ``singulars`` (shape (P, min(d_r, d_c))) receives the p-th
+    shrunk singular values.
     """
     taus = np.asarray(taus, dtype=float)
     mats = [np.asarray(m, dtype=float) for m in ms]
@@ -239,40 +234,30 @@ def _soft_threshold_stack(ms, taus, singulars: np.ndarray | None = None) -> list
         raise ValueError("need a non-empty list of 2-D matrices of one shape")
     if taus.shape != (len(mats),):
         raise ValueError("need one tau per matrix")
-    if np.any(taus < 0):
+    if not taus.min() >= 0:  # NaN included
         raise ValueError("tau must be non-negative")
-    tall = [_tall(m) for m in mats]
-    r = tall[0][0].shape[1]
-    gram = np.empty((len(tall), r, r))
-    for p, (a, _) in enumerate(tall):
-        np.matmul(a.T, a, out=gram[p])
-    if not np.all(np.isfinite(gram)):
+    r = min(mats[0].shape)
+    gram = np.empty((len(mats), r, r))
+    for m, g in zip(mats, gram):
+        _gram(m, out=g)
+    if not np.isfinite(gram).all():
         raise ValueError("matrix entries must be finite")
     _, s2, vh = np.linalg.svd(gram, hermitian=True)
     s = np.sqrt(s2)
-    shrunk = _shrinkage(s, taus[:, None], singulars)
-    ks = np.sum(s > taus[:, None], axis=-1)
-    return [
-        _gram_product(a, wide, vh[p, :k].T, shrunk[p, :k] / s[p, :k])
-        for p, ((a, wide), k) in enumerate(zip(tall, ks))
-    ]
-
-
-def _shrinkage(s: np.ndarray, tau, singulars: np.ndarray | None) -> np.ndarray:
-    """The non-increasing singular values ``s`` shrunk by ``tau`` and
-    floored at zero, also written to ``singulars`` when given."""
-    shrunk = np.maximum(s - tau, 0.0)
+    shrunk = np.maximum(s - taus[:, None], 0.0)
     if singulars is not None:
         if singulars.shape != s.shape:
             raise ValueError(f"singulars buffer has shape {singulars.shape}, need {s.shape}")
         singulars[...] = shrunk
-    return shrunk
-
-
-def _gram_product(a: np.ndarray, wide: bool, vk: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """a V_k diag(scale) V_k^T, transposed back when ``a`` is m^T."""
-    out = ((a @ vk) * scale) @ vk.T
-    return out.T if wide else out
+    outs = []
+    for m, tau, sp, vp, shrunk_p in zip(mats, taus, s, vh, shrunk):
+        # a V_k diag((s_k - tau) / s_k) V_k^T, transposed back when a is m^T
+        a, wide = _tall(m)
+        k = int(np.count_nonzero(sp > tau))
+        vk = vp[:k].T
+        out = ((a @ vk) * (shrunk_p[:k] / sp[:k])) @ vk.T
+        outs.append(out.T if wide else out)
+    return outs
 
 
 def _span_projectors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

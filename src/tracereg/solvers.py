@@ -15,7 +15,8 @@ Every solve returns an Estimate carrying its certificate data, and
 not exceed the loss at the target matrix.
 
 The convex solve is written once, as a generator that yields its prox
-inputs; ``solve_convex`` drives one of them through ``soft_threshold``.
+inputs, and run by one loop (``_drive``) given the prox: soft_threshold
+in ``solve_convex``, the stacked kernel in a lockstep rung.
 ``solve_path`` is a generator that walks a decreasing lam grid from zero
 with warm starts and solves each rung only when its row of estimates is
 pulled.  It is the one walk behind cross-validation (which stops pulling
@@ -30,10 +31,10 @@ third rung on it starts each rung from the secant prediction of the last
 two solutions (the predictor step of numerical continuation), not from
 the last solution itself.  It runs several same-shape problems (the K
 cross-validation folds) in lockstep, taking each round's prox steps from
-one stacked symmetric SVD (``linalg._soft_threshold_stack``, the routine
-soft_threshold calls, so the two agree bit for bit); the secant start is
-formed ahead of either route, so each Estimate equals the one a lone
-solve_convex from the same start returns.
+one stacked symmetric SVD (``linalg._soft_threshold_stack``, the kernel
+soft_threshold calls on one matrix, so the two agree bit for bit); the
+secant start is formed ahead of either route, so each Estimate equals
+the one a lone solve_convex from the same start returns.
 """
 
 from __future__ import annotations
@@ -271,19 +272,13 @@ def solve_convex(
     iterates, X(y) of the extrapolated point follows by linearity, so the
     majorization check needs no operator call, and the penalty at z is
     the sum of the shrunk singular values.
-    The lockstep rungs of :func:`solve_path` run the same iteration (one
-    ``_apg`` generator) with a stacked prox.
+    The lockstep rungs of :func:`solve_path` run the same iteration
+    through the same driver loop with the stacked prox.
     """
     if lam <= 0:
         raise ValueError("lam must be positive for the convex solver")
-    solve = _apg(ds, lam, cfg, x0)
-    try:
-        m, tau = next(solve)
-        while True:
-            shrunk = np.empty(min(m.shape))
-            m, tau = solve.send((soft_threshold(m, tau, singulars=shrunk), shrunk))
-    except StopIteration as done:
-        return done.value
+    # the module-global soft_threshold, looked up at each prox step
+    return _drive([_apg(ds, lam, cfg, x0)], lambda ms, taus, out: [soft_threshold(ms[0], taus[0], out[0])])[0]
 
 
 def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> Iterator[list[Estimate]]:
@@ -340,6 +335,8 @@ def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> Iterator[l
             return
         lam, rung_cfg = grid[j], cfg if sent is None else sent
         if len(datasets) == 1:
+            # a lone solve through solve_convex, so its prox steps are
+            # soft_threshold calls inside it, as bench/tracer.py counts them
             row = [solve_convex(datasets[0], lam, rung_cfg, warm[0])]
         else:
             row = _lockstep_rung(datasets, lam, rung_cfg, warm)
@@ -356,14 +353,22 @@ def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> Iterator[l
 
 def _lockstep_rung(datasets: list[Dataset], lam: float, cfg: SolverConfig, x0s: list) -> list[Estimate]:
     """One rung of :func:`solve_path` over several problems in lockstep."""
-    solves = [_apg(ds, lam, cfg, x0) for ds, x0 in zip(datasets, x0s)]
+    return _drive([_apg(ds, lam, cfg, x0) for ds, x0 in zip(datasets, x0s)], _soft_threshold_stack)
+
+
+def _drive(solves: list, prox) -> list[Estimate]:
+    """Run the :func:`_apg` generators ``solves`` to their Estimates.  Each
+    round takes one prox step for every solve still running from one call
+    ``prox(ms, taus, singulars)`` (the stacked-kernel signature of
+    ``linalg._soft_threshold_stack``), and a solve leaves the rounds when
+    it stops."""
     results: list = [None] * len(solves)
     pending = {i: next(solve) for i, solve in enumerate(solves)}
     while pending:
         active = list(pending)
-        shrunk = np.empty((len(active), min(datasets[0].measurements.shape)))
-        outs = _soft_threshold_stack([pending[i][0] for i in active], [pending[i][1] for i in active], singulars=shrunk)
-        for i, z, row in zip(active, outs, shrunk):
+        ms = [pending[i][0] for i in active]
+        shrunk = np.empty((len(active), min(ms[0].shape)))
+        for i, z, row in zip(active, prox(ms, [pending[i][1] for i in active], shrunk), shrunk):
             try:
                 pending[i] = solves[i].send((z, row))
             except StopIteration as done:

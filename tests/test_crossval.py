@@ -132,11 +132,12 @@ class TestLambdaGrid:
         assert grid[0] == top and grid[-1] <= 0.01 * top < grid[-2]
         assert all(b == a / 2.0 for a, b in zip(grid, grid[1:]))
         assert lambda_grid(8.0, 1.0) == [8.0, 4.0, 2.0, 1.0]
-        for bad_top in (0.0, -1.0, float("nan")):
+        for bad_top in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 lambda_grid(bad_top, 1.0)
-        with pytest.raises(ValueError):
-            lambda_grid(8.0, 0.0)
+        for bad_min in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                lambda_grid(8.0, bad_min)
 
     def test_grid_top_is_zero_solution_threshold(self):
         b_star = generate_ground_truth(8, 8, 2, stream(4))

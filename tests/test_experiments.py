@@ -136,7 +136,8 @@ class TestRunFigure1:
         mode = os.stat(tmp_path / cache).st_mode
         assert mode == os.stat(tmp_path / "records.csv").st_mode and mode & 0o777 == 0o644
 
-    @pytest.mark.parametrize("corrupt", ["", '{"quantile_va', '{"reps": 60}', '{"quantile_value": NaN}'])
+    @pytest.mark.parametrize("corrupt", ["", '{"quantile_va', '{"reps": 60}', '{"quantile_value": NaN}',
+                                         '{"quantile_value": -1.0}'])
     def test_corrupt_calibration_cache_is_recomputed(self, tmp_path, corrupt):
         argv = ["figure1", "--d", "10", "--r", "1", "--n", "120", "--replicates", "1", "--k-folds", "3",
                 "--seed", "4", "--calib-reps", "40", "--estimators", "theory1,oracle"]

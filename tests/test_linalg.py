@@ -126,6 +126,11 @@ class TestSoftThreshold:
     def test_negative_tau_raises(self):
         with pytest.raises(ValueError):
             soft_threshold(np.eye(2), -0.1)
+        # a NaN tau raises too, and leaves the buffer as it was
+        buf = np.zeros(2)
+        with pytest.raises(ValueError, match="non-negative"):
+            soft_threshold(np.eye(2), float("nan"), singulars=buf)
+        assert np.array_equal(buf, np.zeros(2))
 
     def test_prox_optimality_under_perturbations(self):
         rng = stream(8)
@@ -347,5 +352,7 @@ class TestStackedSoftThreshold:
             _soft_threshold_stack([np.eye(3)], [0.1, 0.1])
         with pytest.raises(ValueError, match="non-negative"):
             _soft_threshold_stack([np.eye(3)], [-0.1])
+        with pytest.raises(ValueError, match="non-negative"):
+            _soft_threshold_stack([np.eye(3), np.eye(3)], [0.1, float("nan")])
         with pytest.raises(ValueError, match="singulars"):
             _soft_threshold_stack([np.eye(3)], [0.1], singulars=np.empty((1, 2)))
