@@ -219,24 +219,6 @@ _FIG1_SOLVER = SolverConfig(max_iters=2000, rel_obj_tol=1e-7)
 _CV_FLOOR = 1e-4
 
 
-def _path_fits(ds: Dataset, b_star: np.ndarray, grid: list[float]):
-    """(lam, relative error, converged) of each rung of ``solve_path([ds],
-    grid, _FIG1_SOLVER)``, read as the rung is solved, so no finished
-    b_hat outlives the walk's own warm start."""
-    for (est,) in solve_path([ds], grid, _FIG1_SOLVER):
-        yield est.lam, relative_error(est.b_hat, b_star), est.converged
-
-
-def _oracle_path(ds: Dataset, b_star: np.ndarray, grid: list[float]) -> tuple[float, float, bool]:
-    """Best relative error over a decreasing lam grid, with warm starts;
-    the winning lam is chosen with knowledge of the target."""
-    best = (math.inf, grid[0], True)
-    for lam, err, conv in _path_fits(ds, b_star, grid):
-        if err < best[0]:
-            best = (err, lam, conv)
-    return best
-
-
 def _replicate(cfg: ExperimentConfig, spec: EnsembleSpec, n: int, rep: int) -> tuple[int, np.ndarray, Dataset]:
     """(data seed, rank-r target, dataset) of replicate ``rep`` at sample size n."""
     data_seed = child_seed(cfg.seed, "data", n, rep)
@@ -249,11 +231,12 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     cross-validated estimators over a grid of sample sizes.
 
     Estimator theory<c> solves the convex problem at lam = c * q, q the
-    calibrated noise quantile of its sample size.  The distinct theory
-    penalties of a replicate are solved as one warm-started
-    :func:`~tracereg.solvers.solve_path` walk, largest first (3q, 2q,
-    q), each to the same tolerance as a cold solve; the oracle walks its
-    own halving grid and cv a cross-validated one.
+    calibrated noise quantile of its sample size; the oracle takes the
+    best of the halving grid from lambda_max down to 1.5 q, ties to the
+    largest lam.  A replicate's distinct theory penalties and oracle grid
+    are solved as one warm-started :func:`~tracereg.solvers.solve_path`
+    walk over their union, largest first, each rung to the same tolerance
+    as a cold solve; cv walks its own cross-validated grid.
 
     Only the theory and oracle estimators read q, so n is calibrated only
     when one of them runs, or when ``estimators`` is empty: that call
@@ -269,27 +252,29 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     records: list[ExperimentRecord] = []
     for n in cfg.n_grid:
         base_quantile = _calibration_quantile(cfg, spec, n) if reads_q else None
-        theory_grid = sorted({mult * base_quantile for mult in mults.values()}, reverse=True)
+        theory_lams = {mult * base_quantile for mult in mults.values()}
         for rep in range(replicates):
             data_seed, b_star, ds = _replicate(cfg, spec, n, rep)
             # the oracle and cv grids both start at the zero-solution threshold
             top = lambda_max(ds) if {"oracle", "cv"} & set(cfg.estimators) else None
-            theory = {}
-            if theory_grid:
-                theory = {lam: (err, conv) for lam, err, conv in _path_fits(ds, b_star, theory_grid)}
+            oracle_grid = lambda_grid(top, max(1.5 * base_quantile, 1e-12)) if "oracle" in cfg.estimators else []
+            # one warm-started walk over every full-data penalty, scored rung
+            # by rung so no finished b_hat outlives its warm start
+            fits = {}
+            if theory_lams or oracle_grid:
+                for (est,) in solve_path([ds], sorted(theory_lams.union(oracle_grid), reverse=True), _FIG1_SOLVER):
+                    fits[est.lam] = relative_error(est.b_hat, b_star), est.converged
             for name in cfg.estimators:
-                if name in mults:
-                    lam_used = mults[name] * base_quantile
-                    err, conv = theory[lam_used]
-                elif name == "oracle":
-                    lam_floor = max(3.0 * base_quantile / 2.0, 1e-12)
-                    err, lam_used, conv = _oracle_path(ds, b_star, lambda_grid(top, lam_floor))
-                elif name == "cv":
+                if name == "cv":
                     plan = make_folds(n, cfg.k_folds, stream(child_seed(cfg.seed, "folds", n, rep)))
                     result = cv_select(ds, plan, lambda_grid(top, _CV_FLOOR * top), _FIG1_SOLVER)
                     err, lam_used, conv = relative_error(result.b_cv, b_star), result.lambda_cv, result.converged
-                else:  # pragma: no cover - validate() rejects unknown names
-                    raise ConfigError(f"unknown estimator {name!r}")
+                elif name in mults:
+                    lam_used = mults[name] * base_quantile
+                    err, conv = fits[lam_used]
+                else:  # the oracle: min keeps the first of equal errors, so ties go to the largest lam
+                    lam_used = min(oracle_grid, key=lambda lam: fits[lam][0])
+                    err, conv = fits[lam_used]
                 records.append(
                     ExperimentRecord(
                         estimator=name,

@@ -11,8 +11,9 @@ d = 200 (single thread) and breaks even near d = 30.  Squaring the
 singular values loses accuracy only in directions whose singular values
 are tiny, and those enter the prox through ||a v||, which is tiny with
 them: the prox is accurate to about eps * s_max / tau relative, and the
-operator norm to a few eps.  The nuclear norm, numerical rank, thin SVD
-and projectors use ``gesdd``.
+operator norm to a few eps.  A matrix whose squares overflow or fall
+below the normal floats is scaled by a power of two first (``_gram``).
+The nuclear norm, numerical rank, thin SVD and projectors use ``gesdd``.
 
 Soft thresholding has one kernel, the private ``_soft_threshold_stack``:
 one stacked symmetric SVD of the Gram matrices (by ``_gram``) of
@@ -120,7 +121,8 @@ def matrix_norm(m, kind: str, p: float | None = None, q: float | None = None) ->
     if kind == "operator":
         if min(m.shape) == 0:
             return 0.0
-        return _gram_norm(_gram(m))
+        g, e = _gram(m)
+        return float(np.ldexp(_gram_norm(g), e))
     if kind == "linf":
         return float(np.max(np.abs(m))) if m.size else 0.0
     if kind == "l_pq":
@@ -137,11 +139,22 @@ def operator_norm(m) -> float:
     return matrix_norm(m, "operator")
 
 
-def _gram(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The smaller Gram matrix a^T a of m, a = m or m^T (see ``_tall``),
-    written into ``out`` when given (the same product, bit for bit)."""
+def _gram(m: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """(g, e): the smaller Gram matrix g = a^T a of m * 2^-e, a = m or m^T
+    (see ``_tall``), into ``out`` when given (the same product, bit for
+    bit).  e = 0 unless m is nonzero and its own Gram's largest diagonal
+    entry lies outside [smallest normal float, half the largest] (squares
+    underflow, or an entry may overflow); then 2^e scales m's largest
+    entry.  Raises ValueError when m has a non-finite entry."""
     a, _ = _tall(m)
-    return np.matmul(a.T, a, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        g = np.matmul(a.T, a, out=out)
+    if np.finfo(float).tiny <= g.diagonal().max(initial=0.0) <= np.finfo(float).max / 2 or not a.any():
+        return g, 0
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    return _gram(np.ldexp(m, -e), out=g)[0], e
 
 
 def _gram_norm(g: np.ndarray) -> float:
@@ -167,7 +180,8 @@ def _operator_norm_unless_below(m, bound: float, out: tuple[np.ndarray, np.ndarr
     thread), and an uncertified matrix reuses its Gram for that solve.
     """
     gram, shifted = out
-    g = _gram(_as_matrix(m), out=gram)
+    g, e = _gram(_as_matrix(m), out=gram)
+    bound = np.ldexp(bound, -e)
     d = g.shape[0]
     delta = max(1e-8, 16.0 * d * d * np.finfo(float).eps)
     shifted = np.negative(g, out=shifted)
@@ -175,7 +189,7 @@ def _operator_norm_unless_below(m, bound: float, out: tuple[np.ndarray, np.ndarr
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        return _gram_norm(g)
+        return float(np.ldexp(_gram_norm(g), e))
     return None
 
 
@@ -238,17 +252,17 @@ def _soft_threshold_stack(ms, taus, singulars: np.ndarray | None = None) -> list
         raise ValueError("tau must be non-negative")
     r = min(mats[0].shape)
     gram = np.empty((len(mats), r, r))
-    for m, g in zip(mats, gram):
-        _gram(m, out=g)
-    if not np.isfinite(gram).all():
-        raise ValueError("matrix entries must be finite")
+    # Gram p is that of m_p * 2^-e_p: its singular values shrink by
+    # tau_p * 2^-e_p, and the ratios (s_k - tau) / s_k below are m_p's own
+    exps = [_gram(m, out=g)[1] for m, g in zip(mats, gram)]
+    taus = np.ldexp(taus, np.negative(exps)) if any(exps) else taus
     _, s2, vh = np.linalg.svd(gram, hermitian=True)
     s = np.sqrt(s2)
     shrunk = np.maximum(s - taus[:, None], 0.0)
     if singulars is not None:
         if singulars.shape != s.shape:
             raise ValueError(f"singulars buffer has shape {singulars.shape}, need {s.shape}")
-        singulars[...] = shrunk
+        singulars[...] = np.ldexp(shrunk, np.array(exps)[:, None]) if any(exps) else shrunk
     outs = []
     for m, tau, sp, vp, shrunk_p in zip(mats, taus, s, vh, shrunk):
         # a V_k diag((s_k - tau) / s_k) V_k^T, transposed back when a is m^T

@@ -20,9 +20,9 @@ in ``solve_convex``, the stacked kernel in a lockstep rung.
 ``solve_path`` is a generator that walks a decreasing lam grid from zero
 with warm starts and solves each rung only when its row of estimates is
 pulled.  It is the one walk behind cross-validation (which stops pulling
-once the held-out error has turned up), the figure1 oracle, the figure1
-theory estimators (a replicate's theory penalties, largest first) and
-the noiseless continuation ladder.  A caller may ``send()`` it another
+once the held-out error has turned up), the figure1 full-data fits (a
+replicate's theory penalties and oracle grid, one walk over their union)
+and the noiseless continuation ladder.  A caller may ``send()`` it another
 SolverConfig to solve the next rung provisionally (cross-validation
 solves loosely a rung that likely lies past the held-out minimum); the
 next plain pull rewinds past the provisional rungs, so every row solved

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tracereg import calibrate_lambda0, cli, experiments, solvers, stream
+from tracereg import calibrate_lambda0, cli, crossval, experiments, solvers, stream
 from tracereg.cli import load_config_file, main
 from tracereg.crossval import CV_STOP_RISES, cv_select, lambda_grid, make_folds
 from tracereg.experiments import (
@@ -193,32 +193,40 @@ class TestRunFigure1:
     def test_one_lambda_max_per_replicate_and_grids_unchanged(self, tmp_path, monkeypatch):
         cfg = small_fig1_cfg(tmp_path, replicates=2)
         run_figure1(replace(cfg, estimators=()))  # fills the calibration cache
-        seen, norms = [], []
-        real_cv, real_oracle, real_norm = experiments.cv_select, experiments._oracle_path, solvers.operator_norm
-
-        def cv_select(ds, plan, grid, cfg):
-            seen.append(("cv", ds, grid))
-            return real_cv(ds, plan, grid, cfg)
-
-        def oracle_path(ds, b_star, grid):
-            seen.append(("oracle", ds, grid))
-            return real_oracle(ds, b_star, grid)
-
-        def operator_norm(m):
-            norms.append(m.shape)
-            return real_norm(m)
-
-        monkeypatch.setattr(experiments, "cv_select", cv_select)
-        monkeypatch.setattr(experiments, "_oracle_path", oracle_path)
-        monkeypatch.setattr(solvers, "operator_norm", operator_norm)
-        run_figure1(cfg)
-        assert len(norms) == cfg.replicates  # lambda_max: calibration is cached, theory* needs none
-        monkeypatch.undo()
         base = experiments._calibration_quantile(cfg, experiments.make_ensemble(cfg), cfg.n_grid[0])
-        assert [name for name, _, _ in seen] == ["oracle", "cv"] * cfg.replicates
-        for name, ds, grid in seen:
-            lam_min = 1e-4 * lambda_max(ds) if name == "cv" else max(3.0 * base / 2.0, 1e-12)
-            assert grid == lambda_grid(lambda_max(ds), lam_min)
+        real_cv, real_walk, real_norm = experiments.cv_select, experiments.solve_path, solvers.operator_norm
+        # theory and oracle together walk the union of their penalties; alone, each its own
+        for estimators in (cfg.estimators, ("theory1", "theory3"), ("oracle", "cv")):
+            seen, norms = [], []
+
+            def cv_select(ds, plan, grid, solver_cfg):
+                seen.append(("cv", ds, grid))
+                return real_cv(ds, plan, grid, solver_cfg)
+
+            def walk(datasets, grid, solver_cfg):
+                (ds,) = datasets
+                seen.append(("walk", ds, grid))
+                return real_walk(datasets, grid, solver_cfg)
+
+            def operator_norm(m):
+                norms.append(m.shape)
+                return real_norm(m)
+
+            monkeypatch.setattr(experiments, "cv_select", cv_select)
+            monkeypatch.setattr(experiments, "solve_path", walk)
+            monkeypatch.setattr(solvers, "operator_norm", operator_norm)
+            run_figure1(replace(cfg, estimators=estimators))
+            monkeypatch.undo()
+            # lambda_max: calibration is cached, theory* needs none
+            assert len(norms) == (cfg.replicates if {"oracle", "cv"} & set(estimators) else 0)
+            assert [name for name, _, _ in seen] == ["walk", "cv"][: 1 + ("cv" in estimators)] * cfg.replicates
+            theory = {c * base for c in (1.0, 2.0, 3.0) if f"theory{c:g}" in estimators}
+            for name, ds, grid in seen:
+                if name == "cv":
+                    assert grid == lambda_grid(lambda_max(ds), 1e-4 * lambda_max(ds))
+                    continue
+                oracle = lambda_grid(lambda_max(ds), max(3.0 * base / 2.0, 1e-12)) if "oracle" in estimators else []
+                assert grid == sorted(theory.union(oracle), reverse=True)
 
     @pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
     def test_theory_fits_are_one_path_as_good_as_lone_solves(self, tmp_path, monkeypatch, ensemble):
@@ -298,6 +306,27 @@ class TestRunFigure1:
             for row in full
         ]
         assert res.lambda_cv == grid[int(np.argmin(e_full))]
+
+    @pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+    def test_probes_never_change_the_cv_pick(self, tmp_path, monkeypatch, ensemble):
+        # loose probes only confirm rises: on figure1 replicates (sizes
+        # drawn per seed, fixed) the pick and the walked length equal the
+        # walk's whose probe tolerance is the figure1 config's own
+        solver = experiments._FIG1_SOLVER
+        for seed in range(8):
+            draw = stream(child_seed(seed, "probe-sizes"))
+            d = int(draw.integers(6, 14))
+            n = d * int(draw.integers(8, 30))
+            cfg = small_fig1_cfg(tmp_path, ensemble=ensemble, d=d, n_grid=(n,), k_folds=5, seed=seed).validate()
+            _, _, ds = experiments._replicate(cfg, experiments.make_ensemble(cfg), n, 0)
+            plan = make_folds(n, cfg.k_folds, stream(child_seed(seed, "folds", n, 0)))
+            top = lambda_max(ds)
+            grid = lambda_grid(top, experiments._CV_FLOOR * top)
+            probed = cv_select(ds, plan, grid, solver)
+            with monkeypatch.context() as patch:
+                patch.setattr(crossval, "_PROBE_TOL", solver.rel_obj_tol)
+                exact = cv_select(ds, plan, grid, solver)
+            assert (probed.lambda_cv, len(probed.lambda_grid)) == (exact.lambda_cv, len(exact.lambda_grid)), (seed, d, n)
 
     def test_cv_close_to_oracle_off_matrix_completion(self, tmp_path):
         # Sized by measurement on factored_measurement at d=30, r=2,

@@ -295,6 +295,54 @@ class TestGramKernelAccuracy:
         assert np.linalg.norm(tau_w @ v) <= scale
 
 
+class TestGramScale:
+    """Matrices whose Gram matrix would overflow, or whose squares would
+    underflow below the normal floats, are scaled by a power of two first."""
+
+    BIG, SMALL = 2.0**600, 2.0**-600
+
+    def test_operator_norm_of_an_overflowing_gram(self):
+        assert operator_norm(np.array([[1e160, 0.0], [0.0, 1.0]])) == pytest.approx(1e160, rel=1e-15, abs=0.0)
+        m = stream(41).standard_normal((7, 5))
+        big = self.BIG * m
+        norm = operator_norm(big)
+        assert norm == pytest.approx(self.BIG * np.linalg.norm(m, 2), rel=1e-13, abs=0.0)
+        buffers = (np.empty((5, 5)), np.empty((5, 5)))
+        assert _operator_norm_unless_below(big, 1.01 * norm, buffers) is None
+        assert _operator_norm_unless_below(big, norm, buffers) == norm
+
+    def test_operator_norm_of_an_underflowing_gram(self):
+        # 1e-160 squares to a subnormal, 1e-170 to zero
+        for scale in (1e-160, 1e-170):
+            assert operator_norm(scale * np.eye(2)) == pytest.approx(scale, rel=1e-15, abs=0.0)
+        m = stream(42).standard_normal((5, 7))
+        assert operator_norm(self.SMALL * m) == pytest.approx(self.SMALL * np.linalg.norm(m, 2), rel=1e-13, abs=0.0)
+
+    def test_soft_threshold_of_an_underflowing_gram(self):
+        buf = np.empty(2)
+        out = soft_threshold(1e-170 * np.eye(2), 1e-171, singulars=buf)
+        np.testing.assert_allclose(out, 9e-171 * np.eye(2), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(buf, [9e-171, 9e-171], rtol=1e-14, atol=0.0)
+        m = stream(43).standard_normal((6, 4))
+        tau = 0.3 * np.linalg.norm(m, 2)
+        ref, _ = _gesdd_soft_threshold(m, tau)
+        small = soft_threshold(self.SMALL * m, self.SMALL * tau)
+        assert np.linalg.norm(small / self.SMALL - ref) <= 1e-12 * np.linalg.norm(m)
+
+    def test_soft_threshold_of_an_overflowing_gram(self):
+        buf = np.empty(2)
+        out = soft_threshold(np.array([[1e160, 0.0], [0.0, 1.0]]), 1.0, singulars=buf)
+        assert out[0, 0] == pytest.approx(1e160, rel=1e-15, abs=0.0) and abs(out[1, 1]) <= 1e-15 * 1e160
+        assert out[0, 1] == out[1, 0] == 0.0 and buf[0] == pytest.approx(1e160, rel=1e-15, abs=0.0)
+        # a stacked neighbour of ordinary scale keeps its bits
+        m = stream(44).standard_normal((4, 6))
+        tau = 0.3 * np.linalg.norm(m, 2)
+        ref, _ = _gesdd_soft_threshold(m, tau)
+        big, plain = _soft_threshold_stack([self.BIG * m, m], [self.BIG * tau, tau])
+        assert np.linalg.norm(big / self.BIG - ref) <= 1e-12 * np.linalg.norm(m)
+        assert np.array_equal(plain, soft_threshold(m, tau))
+
+
 # The stacked kernel behind the lockstep cross-validation folds: P matrices
 # of one tall, wide or square shape, each of random rank (rank-deficient
 # Gram matrices give zero and tiny negative eigenvalues) and C or Fortran
