@@ -23,6 +23,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     _parse_value,
+    _write_text,
     emit_outputs,
     run_calibration,
     run_exact_recovery,
@@ -93,14 +94,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if values["experiment"] == "exact_recovery":
         values.setdefault("sigma", 0.0)
         values.setdefault("ensemble", "gaussian_ensemble")
-    return ExperimentConfig(**values).validate()
-
-
-def _write_json(path: str, payload: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=None, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+    return ExperimentConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,11 +108,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if cfg.experiment in ("figure1", "exact_recovery"):
             records = run_figure1(cfg) if cfg.experiment == "figure1" else run_exact_recovery(cfg)
-            emit_outputs(records, summarize(records), cfg)
-        elif cfg.experiment == "rsc_probe":
-            _write_json(os.path.join(cfg.out_dir, "rsc_probe.json"), run_rsc_probe(cfg))
+            if records:  # figure1 with no estimators only fills the calibration cache
+                emit_outputs(records, summarize(records), cfg)
         else:
-            _write_json(os.path.join(cfg.out_dir, "calibration.json"), run_calibration(cfg))
+            report = run_rsc_probe(cfg) if cfg.experiment == "rsc_probe" else run_calibration(cfg)
+            text = json.dumps(report, separators=(",", ":"), sort_keys=True) + "\n"
+            _write_text(os.path.join(cfg.out_dir, f"{cfg.experiment}.json"), text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,9 @@ chart emission.
 Every run is fully determined by its configuration and seed: replicate
 streams are derived from the master seed with stable keys, records are
 sorted before writing, and floating-point values are written in
-shortest round-trip form.
+shortest round-trip form.  A config is checked when it is made, and
+every file a run leaves, the calibration cache included, is written by
+one atomic writer, so an interrupted run never leaves a truncated file.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Settings of one run, checked when made (``dataclasses.replace``
+    included): an invalid one raises ConfigError, so every config is valid."""
+
     experiment: str = "figure1"
     ensemble: str = "matrix_completion"
     d: int = 50
@@ -66,7 +71,7 @@ class ExperimentConfig:
     trials: int = 1000
     multiplier: float = 3.0
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.ensemble not in ENSEMBLES:
@@ -88,13 +93,15 @@ class ExperimentConfig:
         unknown = set(self.estimators) - set(ALL_ESTIMATORS)
         if unknown:
             raise ConfigError(f"unknown estimators: {sorted(unknown)}")
+        repeated = sorted({name for name in self.estimators if self.estimators.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"estimators requested more than once: {','.join(repeated)}")
         if self.experiment == "exact_recovery" and self.sigma != 0.0:
             raise ConfigError("exact_recovery requires sigma = 0")
         theory = [name for name in self.estimators if name.startswith("theory")]
         if self.experiment == "figure1" and self.sigma == 0.0 and theory:
             # the calibrated noise quantile, and so every theory lambda, is 0
             raise ConfigError(f"sigma = 0 calibrates lambda to 0 for {','.join(theory)}; need sigma > 0")
-        return self
 
 
 @dataclass(frozen=True)
@@ -172,19 +179,7 @@ def _calibration_quantile(cfg: ExperimentConfig, spec: EnsembleSpec, n: int) -> 
         return cached
     rng = stream(child_seed(cfg.seed, "calibration", n))
     value = _noise_quantile(spec, n, cfg.sigma, cfg.calib_reps, cfg.calib_quantile, rng)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    payload = {"quantile_value": value, "reps": cfg.calib_reps, "quantile": cfg.calib_quantile}
-    # write beside the target, then rename over it, so an interrupted run
-    # never leaves a truncated cache file behind; a plain open (not
-    # mkstemp's 0600) gives it the umask's mode, as every other output gets
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    _write_text(path, json.dumps({"quantile_value": value, "reps": cfg.calib_reps, "quantile": cfg.calib_quantile}))
     return value
 
 
@@ -242,7 +237,6 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     when one of them runs, or when ``estimators`` is empty: that call
     fills the calibration cache and generates no replicate.
     """
-    cfg = cfg.validate()
     if cfg.experiment != "figure1":
         raise ConfigError("config does not request the figure1 experiment")
     spec = make_ensemble(cfg)
@@ -293,7 +287,6 @@ def run_figure1(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 def run_exact_recovery(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Noiseless minimum-nuclear-norm recovery over a grid of sample
     sizes; each record carries a success flag (relative error < 1e-3)."""
-    cfg = cfg.validate()
     if cfg.experiment != "exact_recovery":
         raise ConfigError("config does not request the exact_recovery experiment")
     spec = make_ensemble(cfg)
@@ -323,7 +316,6 @@ def run_rsc_probe(cfg: ExperimentConfig) -> dict:
     """Probe restricted strong convexity on one dataset drawn at the
     first grid size, with the constraint-set floor nu taken from the
     calibrated regularization recipe nu = lam0^2 r / (gamma_min^2 b*^2)."""
-    cfg = cfg.validate()
     spec = make_ensemble(cfg)
     n = cfg.n_grid[0]
     base_quantile = _calibration_quantile(cfg, spec, n)
@@ -336,7 +328,6 @@ def run_rsc_probe(cfg: ExperimentConfig) -> dict:
 
 def run_calibration(cfg: ExperimentConfig) -> dict:
     """Stand-alone calibration run at the first grid size."""
-    cfg = cfg.validate()
     spec = make_ensemble(cfg)
     n = cfg.n_grid[0]
     rng = stream(child_seed(cfg.seed, "calibration", n))
@@ -435,11 +426,20 @@ def read_records_csv(path: str) -> list[ExperimentRecord]:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Replace ``path`` by ``text`` through a temporary file renamed over
+    it, so no run leaves a truncated file; a plain open (not mkstemp's 0600)
+    gives the umask's mode.  Creates the directory; OSError names ``path``."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 _PALETTE = ["#1b6ca8", "#d1495b", "#3a7d44", "#8d6a9f", "#c77b1f"]
@@ -509,10 +509,6 @@ def render_figure_svg(summary: list[SummaryRow]) -> str:
 def emit_outputs(records: list[ExperimentRecord], summary: list[SummaryRow], cfg: ExperimentConfig) -> dict[str, str]:
     """Write records.csv, summary.csv, config.echo, and figure1.svg into
     cfg.out_dir; returns the written paths."""
-    try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     paths = {
         "records": os.path.join(cfg.out_dir, "records.csv"),
         "summary": os.path.join(cfg.out_dir, "summary.csv"),

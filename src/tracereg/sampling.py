@@ -335,6 +335,8 @@ class MatrixCompletion(_EnsembleBase):
         super().__post_init__()
         if self.xi_mode not in ("gaussian_var_d2", "deterministic_d"):
             raise ValueError(f"unknown xi_mode {self.xi_mode!r}")
+        if not isinstance(self.plain_entries, (bool, np.bool_)):
+            raise ValueError(f"plain_entries must be a bool, got {self.plain_entries!r}")
 
     def sample_batch(self, n, rng):
         rows = rng.integers(0, self.d_r, size=n)
@@ -472,6 +474,8 @@ class Dataset:
             raise ValueError(f"y has shape {y.shape}, expected ({len(self.measurements)},)")
         if not np.all(np.isfinite(y)):
             raise ValueError("y holds non-finite values")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
 
     @property
     def n(self) -> int:
@@ -551,8 +555,8 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`; raises ValueError
-    for an unknown kind, a missing field, or arrays that do not fit the
-    kind's set type or its dims."""
+    for an unknown kind, a missing field, arrays that do not fit the
+    kind's set type or its dims, or an ``n`` other than ``len(y)``."""
     with np.load(path) as z:
 
         def read(name: str) -> np.ndarray:
@@ -569,4 +573,7 @@ def load_dataset(path) -> Dataset:
         dims = {"d_r": d_r, "d_c": d_c}
         init = [f.name for f in fields(cls.set_type) if f.init]
         ms = cls.set_type(**{name: dims[name] if name in dims else read(name) for name in init})
-        return Dataset(spec, ms, read("y"), float(read("sigma")), int(read("seed")))
+        y, n = read("y"), int(read("n"))
+        if n != len(y):
+            raise ValueError(f"{path}: n={n} does not match the {len(y)} responses")
+        return Dataset(spec, ms, y, float(read("sigma")), int(read("seed")))

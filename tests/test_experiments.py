@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -47,15 +48,17 @@ def small_fig1_cfg(out_dir, **overrides):
 class TestConfig:
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="nope").validate()
+            ExperimentConfig(experiment="nope")
         with pytest.raises(ConfigError):
-            ExperimentConfig(n_grid=(100, 100)).validate()
+            ExperimentConfig(n_grid=(100, 100))
         with pytest.raises(ConfigError):
-            ExperimentConfig(replicates=0).validate()
+            ExperimentConfig(replicates=0)
         with pytest.raises(ConfigError):
-            ExperimentConfig(estimators=("bogus",)).validate()
+            ExperimentConfig(estimators=("bogus",))
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="exact_recovery", sigma=1.0).validate()
+            ExperimentConfig(experiment="exact_recovery", sigma=1.0)
+        with pytest.raises(ConfigError, match="more than once: cv$"):
+            ExperimentConfig(estimators=("cv", "oracle", "cv"))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -67,13 +70,13 @@ class TestConfig:
     )
     def test_rejects_non_finite_scales_and_non_positive_sizes(self, overrides):
         with pytest.raises(ConfigError):
-            ExperimentConfig(**overrides).validate()
+            ExperimentConfig(**overrides)
 
     def test_sigma_zero_rejects_only_the_theory_estimators(self):
         # at sigma = 0 the calibrated quantile is 0, so every theory lambda is
         with pytest.raises(ConfigError, match="sigma = 0 .* theory2"):
-            ExperimentConfig(sigma=0.0, estimators=("oracle", "theory2")).validate()
-        ExperimentConfig(sigma=0.0, estimators=("oracle", "cv")).validate()
+            ExperimentConfig(sigma=0.0, estimators=("oracle", "theory2"))
+        ExperimentConfig(sigma=0.0, estimators=("oracle", "cv"))
 
     def test_child_seed_stable_and_distinct(self):
         assert child_seed(7, "data", 100, 0) == child_seed(7, "data", 100, 0)
@@ -237,7 +240,7 @@ class TestRunFigure1:
         # solves stopped up to 1.4e-6 above the optimum, the walk's fits up
         # to 1.1e-6.
         cfg = small_fig1_cfg(tmp_path, ensemble=ensemble, d=8, n_grid=(120, 200), replicates=2, calib_reps=20,
-                             estimators=("theory1", "theory3", "theory1", "theory2")).validate()
+                             estimators=("theory1", "theory3", "theory2"))
         walks = []
         real_walk = experiments.solve_path
 
@@ -266,12 +269,12 @@ class TestRunFigure1:
                    for rec in records if (rec.n, rec.replicate) == (n, rep)]
             want = [(f"theory{c}", relative_error(fit.b_hat, b_star), fit.lam, fit.converged)
                     for c, fit in zip((3, 2, 1), fits)]
-            assert sorted(got) == sorted(want + want[-1:])  # theory1 was requested twice
+            assert sorted(got) == sorted(want)
 
     def test_cv_walk_is_a_prefix_of_the_full_path(self, tmp_path, monkeypatch):
         # one replicate of the figure1 protocol (plain-entry matrix
         # completion, sigma=1, its folds, solver settings and CV grid)
-        cfg = small_fig1_cfg(tmp_path, d=20, n_grid=(400,), k_folds=5).validate()
+        cfg = small_fig1_cfg(tmp_path, d=20, n_grid=(400,), k_folds=5)
         n = cfg.n_grid[0]
         _, _, ds = experiments._replicate(cfg, experiments.make_ensemble(cfg), n, 0)
         plan = make_folds(n, cfg.k_folds, stream(child_seed(cfg.seed, "folds", n, 0)))
@@ -317,7 +320,7 @@ class TestRunFigure1:
             draw = stream(child_seed(seed, "probe-sizes"))
             d = int(draw.integers(6, 14))
             n = d * int(draw.integers(8, 30))
-            cfg = small_fig1_cfg(tmp_path, ensemble=ensemble, d=d, n_grid=(n,), k_folds=5, seed=seed).validate()
+            cfg = small_fig1_cfg(tmp_path, ensemble=ensemble, d=d, n_grid=(n,), k_folds=5, seed=seed)
             _, _, ds = experiments._replicate(cfg, experiments.make_ensemble(cfg), n, 0)
             plan = make_folds(n, cfg.k_folds, stream(child_seed(seed, "folds", n, 0)))
             top = lambda_max(ds)
@@ -392,9 +395,8 @@ class TestRunExactRecovery:
                 assert fa.read() == fb.read()
 
     def test_noise_rejected(self, tmp_path):
-        cfg = ExperimentConfig(experiment="exact_recovery", sigma=0.5, out_dir=str(tmp_path))
         with pytest.raises(ConfigError):
-            run_exact_recovery(cfg)
+            ExperimentConfig(experiment="exact_recovery", sigma=0.5, out_dir=str(tmp_path))
 
 
 class TestSummarize:
@@ -498,6 +500,21 @@ class TestEmitOutputs:
         assert echo["d"] == str(cfg.d)
         assert echo["n_grid"] == "150,300"
         assert echo["seed"] == str(cfg.seed)
+
+
+    def test_failed_replace_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.csv"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("injected")
+
+        monkeypatch.setattr(experiments.os, "replace", fail)
+        with pytest.raises(OSError, match=f"^failed writing {re.escape(str(path))}: injected$"):
+            experiments._write_text(str(path), "new\n")
+        monkeypatch.undo()
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["records.csv"]
 
 
 class TestRscProbeExperiment:
@@ -700,7 +717,7 @@ class TestCli:
             "error: failed to sample the constraint set; nu may exceed its feasible range"
         ]
 
-    def test_io_error_exit_code(self):
+    def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(
             [
                 "calibration",
@@ -709,6 +726,23 @@ class TestCli:
             ]
         )
         assert code == 3
+        capsys.readouterr()
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        argv = ["figure1", "--d", "6", "--r", "1", "--n", "40", "--replicates", "1", "--estimators", "cv"]
+        assert main([*argv, "--out-dir", str(out)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"io error: failed writing {out / 'records.csv'}: ")
+        assert blocker.read_text() == ""
+
+    def test_empty_estimators_fill_the_calibration_cache_and_exit_0(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["figure1", "--d", "6", "--r", "1", "--n", "60,80", "--replicates", "1", "--calib-reps", "20",
+                "--seed", "1", "--estimators", "", "--out-dir", str(out)]
+        assert main(argv) == 0
+        files = os.listdir(out)
+        assert len(files) == 2 and all(name.startswith("calib_v2_") for name in files)
 
     def test_value_error_during_run_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
         def fail(cfg):

@@ -65,6 +65,13 @@ class TestSampleMeasurement:
         ms = MatrixCompletion(4, 4, plain_entries=True).sample_batch(50, stream(0))
         assert np.all(ms.scales == 1.0)
 
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_plain_entries_must_be_a_bool(self, flag):
+        # a truthy string once drew plain entries
+        with pytest.raises(ValueError, match="plain_entries must be a bool"):
+            MatrixCompletion(3, 3, plain_entries=flag)
+        assert MatrixCompletion(3, 3, plain_entries=np.bool_(True)).plain_entries
+
     def test_gaussian_entry_mean(self):
         ms = GaussianEnsemble(3, 3).sample_batch(100_000, stream(1))
         vals = ms.mats.ravel()
@@ -483,6 +490,22 @@ class TestFileFormat:
             load_dataset(path)
 
 
+    @pytest.mark.parametrize(
+        "kind, values, match",
+        [("gaussian_ensemble", dict(sigma=np.array(-1.0)), "noise_sigma must be finite and non-negative"),
+         ("multi_task", dict(sigma=np.array(np.nan)), "noise_sigma must be finite and non-negative"),
+         ("factored_measurement", dict(n=np.array(99, dtype=np.int64)), "n=99 does not match the 6 responses"),
+         ("matrix_completion", dict(plain_entries=np.array("yes")), "plain_entries must be a bool")],
+        ids=["sigma-negative", "sigma-nan", "n-not-the-response-count", "plain-entries-string"],
+    )
+    def test_stored_values_are_checked(self, kind, values, match, tmp_path):
+        path = tmp_path / "ds.npz"
+        save_dataset(fixture_dataset(kind), path)
+        edit_saved(path, **values)
+        with pytest.raises(ValueError, match=match):
+            load_dataset(path)
+
+
 def corrupt_saved_indices(path, key: str, value: int) -> None:
     """Overwrite the first stored index ``key`` of a saved dataset."""
     with np.load(path) as z:
@@ -550,6 +573,12 @@ class TestDatasetValidation:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             self.make([1.0, bad, 3.0])
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_rejects_a_negative_or_non_finite_noise_sigma(self, sigma):
+        ms = EntrySet([0, 1, 2], [0, 1, 2], np.ones(3), 3, 3)
+        with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
+            Dataset(MatrixCompletion(3, 3, plain_entries=True), ms, np.ones(3), sigma, seed=0)
 
     @pytest.mark.parametrize(
         "spec, ms",
