@@ -5,24 +5,24 @@ is fit on each fold's complement and scored on the held-out fold.  The
 selected estimator averages the K complement fits at the winning lam,
 weighted by fold size.
 
-The K fold fits walk the grid together by pulling
-``solvers.solve_path``, warm-started from rung to rung (from the third
-rung on at the secant prediction of the fold's last two fits) and
-solved in lockstep: each round takes the K prox steps from one call of
-the shared prox kernel, and every fold's fit is bit-identical to a chain
-of lone ``solve_convex`` calls on it from the same starts.  The walk pulls
-one rung at a time and stops once the out-of-fold error has risen at
-two consecutive rungs, so the rungs past a minimum, the slowest ones on
-a decreasing grid, are never solved; the grid may then run deep enough
-to reach the minimum without that depth being paid for (the early end
-of glmnet's lam path, Friedman, Hastie & Tibshirani 2010).  A rung that
-is likely past the minimum is first solved loosely, sent into the walk
-as a looser SolverConfig, and kept only when its error clearly rose, so
-the rises that end the walk cost few iterations while every rung that
-can win is solved at the caller's tolerance.  The margin that makes a
-rise clear is empirical: unlike the CV-error bounds from approximate
-path solutions of Shibagaki, Suzuki, Karasuyama & Takeuchi (2015) and
-Ndiaye, Le, Fercoq, Salmon & Takeuchi (2019), it certifies nothing.
+The K fold fits walk the grid together, one ``solvers.solve_rung`` per
+rung in lockstep, each started by ``solvers.secant_start`` (from the
+third rung on at the secant prediction of the fold's last two fits), so
+every fold's fit is bit-identical to a chain of lone ``solve_convex``
+calls from the same starts.  The walk stops once the out-of-fold error
+has risen at two consecutive rungs, so the rungs past a minimum, the
+slowest ones on a decreasing grid, are never solved; the grid may then
+run deep enough to reach the minimum without that depth being paid for
+(the early end of glmnet's lam path, Friedman, Hastie & Tibshirani
+2010).  A rung likely past the minimum is first solved loosely (a
+probe) and kept only when its error clearly rose; otherwise the walk
+goes back to its last rung solved at the caller's tolerance and on from
+the starts it saved there.  So the rises that end the walk cost few
+iterations, while every rung that can win is solved at the caller's
+tolerance.  The margin that makes a rise clear is empirical: unlike the
+CV-error bounds from approximate path solutions of Shibagaki, Suzuki,
+Karasuyama & Takeuchi (2015) and Ndiaye, Le, Fercoq, Salmon & Takeuchi
+(2019), it certifies nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import Dataset
-from .solvers import Estimate, SolverConfig, solve_path
+from .solvers import Estimate, SolverConfig, _checked_grid, secant_start, solve_rung
 
 __all__ = [
     "FoldPlan",
@@ -120,11 +120,12 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
     """Compute out-of-fold errors down a strictly decreasing lam grid and
     return the fold-size-weighted average estimator at the best lam.
 
-    Each fold's estimator is fit on that fold's complement by pulling
-    :func:`~tracereg.solvers.solve_path` with ``cfg`` rung by rung, so the
-    first lam's fits are cold, the second starts from the first, and each
-    later one starts from the secant prediction b_j + r_j (b_j - b_{j-1})
-    of the fold's last two fits (r_j = 0.5 on a halving grid).
+    Each fold's estimator is fit on that fold's complement, the K folds of
+    a lam in one :func:`~tracereg.solvers.solve_rung` at ``cfg``: the
+    first lam's fits are cold, and each later one starts from
+    :func:`~tracereg.solvers.secant_start` of the fold's fits before it.
+    ``grid`` is checked as solve_path checks it; no fold may hold every
+    observation.
     ``e_hat[j]`` is the per-sample out-of-fold prediction error
     (1/n) sum_k ||y_k - X_k(B_{-k})||^2 at grid[j], stored per sample so it
     compares directly with per-observation noise levels.
@@ -141,14 +142,14 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
 
     A rise is confirmed with loose solves.  When the previous rung's
     ``e_hat`` rose or fell by less than 10%, the rung is first solved at
-    ``rel_obj_tol`` max(cfg's, 1e-4) (a probe, sent into the walk).  The
-    probe's fits are kept only when its ``e_hat`` is more than 1e-3
-    (relative) above the previous rung's, and so above the running
-    minimum: such a rung cannot win.  Otherwise the rung is solved at
-    ``cfg`` from the start a walk without probes uses, re-solving first a
-    kept probe before it.  So every rung that can win is solved at
-    ``cfg`` exactly as without probes, and only the last
-    ``CV_STOP_RISES`` rows of the result may be loose fits.  The margin
+    ``rel_obj_tol`` max(cfg's, 1e-4) (a probe, started from the rows
+    before it, probes or not).  The probe's fits are kept only when its
+    ``e_hat`` is more than 1e-3 (relative) above the previous rung's, and
+    so above the running minimum: such a rung cannot win.  Otherwise the
+    walk drops the probes and goes on from its last row solved at
+    ``cfg``, from the starts a walk without probes uses.  So every rung
+    that can win is solved at ``cfg`` exactly as without probes, and only
+    the last ``CV_STOP_RISES`` rows of the result may be loose fits.  The margin
     is empirical, not certified: a loose fit that overstates its rung's
     error by more than 1e-3 would end the walk early.  Certified rules
     bound the validation error from a fit's suboptimality (Shibagaki,
@@ -157,51 +158,48 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
     """
     if len(plan.assignments) != ds.n or np.any((plan.assignments < 0) | (plan.assignments >= plan.k)):
         raise ValueError("fold plan does not cover the dataset")
-    n = ds.n
     sizes = plan.sizes()
+    if np.any(sizes == ds.n):
+        raise ValueError(f"fold {int(np.argmax(sizes))} holds all {ds.n} observations, so its training set is empty")
+    grid = _checked_grid(grid)
     holds = [ds.subset(plan.indices(fold)) for fold in range(plan.k)]
     trains = [ds.subset(plan.complement(fold)) for fold in range(plan.k)]
     probe = SolverConfig(cfg.max_iters, max(cfg.rel_obj_tol, _PROBE_TOL))
-    walk = solve_path(trains, grid, cfg)
-    # rows [0, exact) were solved at cfg; a rung before settle, where a probe
-    # was not a clear rise, is not probed again
-    estimates, errors, exact, settle, sent = [], [], 0, 0, None
-    while True:
-        try:
-            row = walk.send(sent)
-        except StopIteration:
-            break
+    # the count of rows solved at cfg, then the next rung's fold starts and
+    # the row before it; saved after the last row solved at cfg
+    exact, start, prev = saved = (0, [None] * plan.k, None)
+    # a rung before settle, where a probe was not a clear rise, is not probed again
+    estimates, errors, settle, probing = [], [], 0, False
+    while (j := len(estimates)) < len(grid):
+        row = solve_rung(trains, grid[j], probe if probing else cfg, start)
         total = 0.0
         for hold, est in zip(holds, row):
             resid = hold.y - hold.measurements.apply(est.b_hat)
             total += float(resid @ resid)
-        error = total / n
-        if sent is None:
-            # a row at cfg after kept probes is the first of them, re-solved
+        error = total / ds.n
+        if probing and not error > (1.0 + _PROBE_MARGIN) * errors[-1]:
+            # not a clear rise: rewind to the last row solved at cfg
+            (exact, start, prev), settle, probing = saved, j + 1, False
             del estimates[exact:], errors[exact:]
-            exact = len(estimates) + 1
-        elif not error > (1.0 + _PROBE_MARGIN) * errors[-1]:
-            settle, sent = len(estimates) + 1, None
             continue
+        start, prev = secant_start(grid, j, prev, row), row
+        if not probing:
+            saved = (j + 1, start, prev)
         estimates.append(row)
         errors.append(error)
         recent = errors[-CV_STOP_RISES - 1:]
         if len(recent) > CV_STOP_RISES and all(a < b for a, b in zip(recent, recent[1:])):
             break
         plausible = len(errors) >= 2 and errors[-1] > (1.0 - _PROBE_FALL) * errors[-2]
-        sent = probe if plausible and probe != cfg and len(estimates) >= settle else None
-    e_hat = np.array(errors)
-    best = 0
-    for j in range(1, len(e_hat)):
-        if e_hat[j] < e_hat[best]:
-            best = j
+        probing = plausible and probe != cfg and len(estimates) >= settle
+    best = min(range(len(errors)), key=errors.__getitem__)
     b_cv = np.zeros(ds.measurements.shape)
     for fold in range(plan.k):
-        b_cv += (sizes[fold] / n) * estimates[best][fold].b_hat
+        b_cv += (sizes[fold] / ds.n) * estimates[best][fold].b_hat
     return CvResult(
-        lambda_grid=[row[0].lam for row in estimates],
-        e_hat=e_hat,
-        lambda_cv=estimates[best][0].lam,
+        lambda_grid=grid[:len(errors)],
+        e_hat=np.array(errors),
+        lambda_cv=grid[best],
         b_cv=b_cv,
         per_fold_estimates=estimates,
         converged=all(est.converged for est in estimates[best]),

@@ -76,14 +76,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.ensemble not in ENSEMBLES:
             raise ConfigError(f"unknown ensemble {self.ensemble!r}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be at least 1")
+        for name, least in (("replicates", 1), ("k_folds", 2), ("calib_reps", 10), ("trials", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if len(self.n_grid) == 0 or self.n_grid[0] < 1 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError(f"n_grid must be non-empty, positive and strictly increasing, got {self.n_grid}")
         if self.d < 1 or not 1 <= self.r <= self.d:
             raise ConfigError("need d >= 1 and 1 <= r <= d")
-        if self.k_folds < 2:
-            raise ConfigError("k_folds must be at least 2")
+        if self.experiment == "figure1" and "cv" in self.estimators and self.k_folds > self.n_grid[0]:
+            raise ConfigError(f"k_folds must not exceed the smallest n for cv, got {self.k_folds} > {self.n_grid[0]}")
+        if not 0.0 < self.calib_quantile < 1.0:
+            raise ConfigError(f"calib_quantile must lie in (0, 1), got {self.calib_quantile}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ConfigError(f"sigma must be finite and non-negative, got {self.sigma}")
         if not math.isfinite(self.multiplier):

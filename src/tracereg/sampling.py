@@ -119,11 +119,18 @@ class MeasurementSet:
         return w
 
 
-def _check_indices(name: str, idx: np.ndarray, bound: int) -> None:
-    """Reject indices outside [0, bound) in one pass: read as unsigned, a
-    negative int64 exceeds every bound."""
+def _indices(name: str, values, bound: int) -> np.ndarray:
+    """``values`` as int64 indices, rejecting any that is not integral or
+    lies outside [0, bound) (read as unsigned, a negative int64 exceeds
+    every bound).  An int64 array is used as it is, with no integrality
+    pass: the samplers build every set from one."""
+    with np.errstate(invalid="ignore"):  # a non-finite value fails the comparison
+        idx = np.asarray(values).astype(np.int64, copy=False)
+    if idx is not values and not np.array_equal(idx, values):
+        raise ValueError(f"{name} must be integers")
     if idx.size and idx.view(np.uint64).max() >= bound:
         raise ValueError(f"{name} must lie in [0, {bound})")
+    return idx
 
 
 @dataclass(eq=False)
@@ -135,14 +142,12 @@ class EntrySet(MeasurementSet):
     d_c: int
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
-        self.scales = np.asarray(self.scales, dtype=float)
         self.d_r, self.d_c = int(self.d_r), int(self.d_c)
+        self.rows = _indices("rows", self.rows, self.d_r)
+        self.cols = _indices("cols", self.cols, self.d_c)
+        self.scales = np.asarray(self.scales, dtype=float)
         if not (len(self.rows) == len(self.cols) == len(self.scales)):
             raise ValueError("rows, cols, scales must have equal length")
-        _check_indices("rows", self.rows, self.d_r)
-        _check_indices("cols", self.cols, self.d_c)
         # row-major flat index of each entry, shared by apply and adjoint;
         # not a field, so len, subset and the file format ignore it
         self._flat = self.rows * self.d_c + self.cols
@@ -177,12 +182,11 @@ class RowVectorSet(MeasurementSet):
     d_c: int
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.vecs = np.asarray(self.vecs, dtype=float)
         self.d_r, self.d_c = int(self.d_r), int(self.d_c)
+        self.rows = _indices("rows", self.rows, self.d_r)
+        self.vecs = np.asarray(self.vecs, dtype=float)
         if self.vecs.shape != (len(self.rows), self.d_c):
             raise ValueError("vecs must have shape (n, d_c)")
-        _check_indices("rows", self.rows, self.d_r)
 
     def apply(self, b):
         b = self._check_b(b)

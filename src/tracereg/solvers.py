@@ -16,25 +16,17 @@ not exceed the loss at the target matrix.
 
 The convex solve is written once, as a generator that yields its prox
 inputs, and run by one loop (``_drive``) given the prox: soft_threshold
-in ``solve_convex``, the stacked kernel in a lockstep rung.
-``solve_path`` is a generator that walks a decreasing lam grid from zero
-with warm starts and solves each rung only when its row of estimates is
-pulled.  It is the one walk behind cross-validation (which stops pulling
-once the held-out error has turned up), the figure1 full-data fits (a
-replicate's theory penalties and oracle grid, one walk over their union)
-and the noiseless continuation ladder.  A caller may ``send()`` it another
-SolverConfig to solve the next rung provisionally (cross-validation
-solves loosely a rung that likely lies past the held-out minimum); the
-next plain pull rewinds past the provisional rungs, so every row solved
-at the walk's own config is the one a plain walk yields.  From its
-third rung on it starts each rung from the secant prediction of the last
-two solutions (the predictor step of numerical continuation), not from
-the last solution itself.  It runs several same-shape problems (the K
-cross-validation folds) in lockstep, taking each round's prox steps from
-one stacked symmetric SVD (``linalg._soft_threshold_stack``, the kernel
-soft_threshold calls on one matrix, so the two agree bit for bit); the
-secant start is formed ahead of either route, so each Estimate equals
-the one a lone solve_convex from the same start returns.
+in ``solve_convex``, the stacked kernel (``linalg._soft_threshold_stack``,
+which soft_threshold calls on one matrix, so the two agree bit for bit)
+in a lockstep rung.  A walk down a decreasing lam grid takes two steps
+per rung: ``solve_rung`` solves the rung for one problem, or for several
+same-shape problems (the K cross-validation folds) in lockstep, and
+``secant_start`` forms the next rung's starts, from the third rung on by
+the secant predictor of numerical continuation.  ``solve_path`` is the
+plain walk on the two, behind the figure1 full-data fits and the
+noiseless continuation ladder; cross-validation takes the two steps
+itself, to stop early and to solve loosely the rungs likely past its
+minimum.
 """
 
 from __future__ import annotations
@@ -56,6 +48,8 @@ __all__ = [
     "lambda_max",
     "lipschitz_estimate",
     "solve_convex",
+    "solve_rung",
+    "secant_start",
     "solve_path",
     "solve_factored",
     "solve_noiseless",
@@ -191,6 +185,8 @@ def _apg(ds: Dataset, lam: float, cfg: SolverConfig, x0: np.ndarray | None):
     generator: it yields each prox input (m, tau), is sent back the prox
     output with its shrunk singular values, and returns the Estimate; see
     :func:`solve_convex`."""
+    if lam <= 0:
+        raise ValueError("lam must be positive for the convex solver")
     ms = ds.measurements
     step = None
     if x0 is None:
@@ -272,13 +268,56 @@ def solve_convex(
     iterates, X(y) of the extrapolated point follows by linearity, so the
     majorization check needs no operator call, and the penalty at z is
     the sum of the shrunk singular values.
-    The lockstep rungs of :func:`solve_path` run the same iteration
+    The lockstep rungs of :func:`solve_rung` run the same iteration
     through the same driver loop with the stacked prox.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive for the convex solver")
     # the module-global soft_threshold, looked up at each prox step
     return _drive([_apg(ds, lam, cfg, x0)], lambda ms, taus, out: [soft_threshold(ms[0], taus[0], out[0])])[0]
+
+
+def _checked_grid(grid) -> list[float]:
+    """``grid`` as floats, checked to be non-empty, strictly decreasing and
+    positive."""
+    grid = [float(lam) for lam in grid]
+    if not grid:
+        raise ValueError("lam grid must be non-empty")
+    if not all(a > b for a, b in zip(grid, grid[1:])):
+        raise ValueError("lam grid must be strictly decreasing")
+    if not grid[-1] > 0:
+        raise ValueError("lam must be positive for the convex solver")
+    return grid
+
+
+def solve_rung(datasets, lam: float, cfg: SolverConfig, x0s) -> list[Estimate]:
+    """Solve every dataset at ``lam``, each from its start in ``x0s`` (None:
+    zero), as one rung of a walk down a lam grid.  One dataset is solved
+    by solve_convex itself.  Several, of one measurement shape, run in
+    lockstep: each keeps its own step, momentum, restart and stop state
+    and leaves when it stops, and each round takes the prox steps of the
+    problems still running from one stacked symmetric SVD, so every
+    Estimate equals a lone solve_convex's from the same start."""
+    if len(datasets) == 1:
+        # a lone solve through solve_convex, so its prox steps are
+        # soft_threshold calls inside it, as bench/tracer.py counts them
+        return [solve_convex(datasets[0], lam, cfg, x0s[0])]
+    if len({ds.measurements.shape for ds in datasets}) > 1:
+        raise ValueError("batched problems must share one matrix shape")
+    return _drive([_apg(ds, lam, cfg, x0) for ds, x0 in zip(datasets, x0s)], _soft_threshold_stack)
+
+
+def secant_start(grid, j: int, prev, row) -> list[np.ndarray]:
+    """Starts of rung j+1 of a walk down ``grid``, from rung j's Estimates
+    ``row`` and rung j-1's ``prev``: rung j's solutions at j = 0 (and at
+    the last rung), else the secant prediction b_j + r_j (b_j - b_{j-1}),
+    r_j = (lam_{j+1} - lam_j) / (lam_j - lam_{j-1}) (0.5 on a halving
+    grid, 0.2 on a ladder falling 5x per rung).  The solution path is
+    nearly linear in lam between rungs, so this lies closer to rung j+1's
+    solution than b_j does."""
+    warm = [est.b_hat for est in row]
+    if j >= 1 and j + 1 < len(grid):
+        r = (grid[j + 1] - grid[j]) / (grid[j] - grid[j - 1])
+        warm = [b + r * (b - est.b_hat) for b, est in zip(warm, prev)]
+    return warm
 
 
 def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> Iterator[list[Estimate]]:
@@ -289,71 +328,18 @@ def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> Iterator[l
     later rungs unsolved.  The arguments are checked at the first pull,
     before any solve.
 
-    Rung 0 starts from zero and rung 1 from rung 0's solutions.  Each
-    later rung j+1 starts from the secant prediction b_j + r_j (b_j -
-    b_{j-1}), r_j = (lam_{j+1} - lam_j) / (lam_j - lam_{j-1}), the
-    predictor step of numerical continuation: the solution path is
-    nearly linear in lam between rungs, so this start lies closer to the
-    rung's solution than b_j does (r_j is 0.5 on a halving grid, 0.2 on
-    a ladder falling 5x per rung).
-
-    ``next()`` (or ``send(None)``) solves the next rung at ``cfg``.
-    ``send(c)`` with a SolverConfig ``c`` solves it at ``c`` instead and
-    yields a *provisional* row, which seeds only the next provisional
-    rung.  The first pull at ``cfg`` after provisional rows rewinds to
-    the first of them and solves it from the rows last solved at ``cfg``,
-    so every row solved at ``cfg`` equals the row of a walk that was
-    never sent a config; a caller reads a row's rung from ``row[0].lam``.
-
-    One dataset is solved by solve_convex itself.  Several, which must
-    share one measurement shape, run each rung in lockstep: each keeps its
-    own adaptive step, momentum, restart and stop state and leaves
-    the rung when it stops, and every round takes one prox for each
-    problem still running from one stacked symmetric SVD of their Gram
-    matrices (``linalg._soft_threshold_stack``), which matches
-    soft_threshold bit for bit.  The secant start is formed ahead of
-    either route, so every Estimate equals the one a chain of lone
-    solve_convex calls from the same starts returns.
+    Each rung is one :func:`solve_rung`, from zero at rung 0 and from
+    :func:`secant_start` of the rows before it after that.  That start is
+    formed before a row is yielded, so rung j-1's solutions are dropped
+    before rung j+1 is solved.
     """
-    grid = [float(lam) for lam in grid]
-    if not grid:
-        raise ValueError("lam grid must be non-empty")
-    if not all(a > b for a, b in zip(grid, grid[1:])):
-        raise ValueError("lam grid must be strictly decreasing")
-    if not grid[-1] > 0:
-        raise ValueError("lam must be positive for the convex solver")
+    grid = _checked_grid(grid)
     datasets = list(datasets)
-    if len({ds.measurements.shape for ds in datasets}) > 1:
-        raise ValueError("batched problems must share one matrix shape")
-    # (next rung, its predecessor's row, its starts) after the last rung solved at cfg
-    exact = (0, None, [None] * len(datasets))
-    sent = None
-    while True:
-        if sent is None:
-            j, prev, warm = exact
-        if j == len(grid):
-            return
-        lam, rung_cfg = grid[j], cfg if sent is None else sent
-        if len(datasets) == 1:
-            # a lone solve through solve_convex, so its prox steps are
-            # soft_threshold calls inside it, as bench/tracer.py counts them
-            row = [solve_convex(datasets[0], lam, rung_cfg, warm[0])]
-        else:
-            row = _lockstep_rung(datasets, lam, rung_cfg, warm)
-        warm = [est.b_hat for est in row]
-        if j >= 1 and j + 1 < len(grid):
-            # secant predictor: extrapolate the last two solutions to the next lam
-            r = (grid[j + 1] - lam) / (lam - grid[j - 1])
-            warm = [b + r * (b - est.b_hat) for b, est in zip(warm, prev)]
-        j, prev = j + 1, row
-        if sent is None:
-            exact = (j, prev, warm)
-        sent = yield row
-
-
-def _lockstep_rung(datasets: list[Dataset], lam: float, cfg: SolverConfig, x0s: list) -> list[Estimate]:
-    """One rung of :func:`solve_path` over several problems in lockstep."""
-    return _drive([_apg(ds, lam, cfg, x0) for ds, x0 in zip(datasets, x0s)], _soft_threshold_stack)
+    warm, prev = [None] * len(datasets), None
+    for j, lam in enumerate(grid):
+        row = solve_rung(datasets, lam, cfg, warm)
+        warm, prev = secant_start(grid, j, prev, row), row
+        yield row
 
 
 def _drive(solves: list, prox) -> list[Estimate]:

@@ -36,33 +36,27 @@ def cold_cv_error(ds: Dataset, plan: FoldPlan, lam: float, cfg: SolverConfig = S
     return float(cv_select(ds, plan, [lam], cfg).e_hat[0])
 
 
-def stub_path(b_hats, pulled=None, probed=None):
-    """Stand-in for solvers.solve_path that fits every fold with b_hats[j]
-    at rung j, or with probed[j] when the rung is sent a config (a probe),
-    appending (j, the config sent or None) to ``pulled`` as each rung is
-    solved.  Like solve_path, a plain pull after probed rungs rewinds to
-    the first of them."""
+def stub_rung(grid, b_hats, solved=None, probed=None, cfg=SolverConfig(), calls=None):
+    """Stand-in for solvers.solve_rung on a walk down ``grid`` that fits
+    every fold with b_hats[j] at rung j, or with probed[j] when the rung is
+    solved at a config other than the walk's ``cfg`` (a probe), appending
+    (j, the config) to ``solved`` and (the starts, the row) to ``calls``
+    at each call."""
 
-    def walk(subs, grid, cfg):
-        j = exact = 0
-        sent = None
-        while True:
-            if sent is None:
-                j = exact
-            if j == len(grid):
-                return
-            if pulled is not None:
-                pulled.append((j, sent))
-            lam, b_hat = grid[j], (b_hats if sent is None or probed is None else probed)[j]
-            j += 1
-            if sent is None:
-                exact = j
-            sent = yield [
-                Estimate(b_hat=b_hat, lam=lam, objective=objective(sub, lam, b_hat), iters=0, converged=True, method="convex")
-                for sub in subs
-            ]
+    def rung(subs, lam, at, x0s):
+        j = grid.index(lam)
+        if solved is not None:
+            solved.append((j, at))
+        b_hat = (b_hats if at == cfg or probed is None else probed)[j]
+        row = [
+            Estimate(b_hat=b_hat, lam=lam, objective=objective(sub, lam, b_hat), iters=0, converged=True, method="convex")
+            for sub in subs
+        ]
+        if calls is not None:
+            calls.append((x0s, row))
+        return row
 
-    return walk
+    return rung
 
 
 @st.composite
@@ -158,7 +152,7 @@ class TestCvError:
         ms = EntrySet([0, 1, 0, 1], [0, 0, 1, 1], np.ones(4), 2, 2)
         ds = Dataset(MatrixCompletion(2, 2, plain_entries=True), ms, np.zeros(4), 0.0, seed=0)
         plan = FoldPlan(k=2, assignments=np.array([0, 0, 1, 1]))
-        monkeypatch.setattr(crossval, "solve_path", stub_path([np.zeros((2, 2))]))
+        monkeypatch.setattr(crossval, "solve_rung", stub_rung([1.0], [np.zeros((2, 2))]))
         assert cold_cv_error(ds, plan, 1.0) == 0.0
 
     def test_matches_hand_rolled_two_fold_oracle(self):
@@ -218,8 +212,8 @@ class TestCvSelect:
     def test_tie_breaks_to_largest_lambda(self, monkeypatch):
         _, ds = self.make_instance(seed=17)
         plan = make_folds(ds.n, 3, stream(18))
-        monkeypatch.setattr(crossval, "solve_path", stub_path([np.zeros((10, 10))] * 3))
         grid = [4.0, 2.0, 1.0]
+        monkeypatch.setattr(crossval, "solve_rung", stub_rung(grid, [np.zeros((10, 10))] * 3))
         res = cv_select(ds, plan, grid)
         assert np.all(res.e_hat == res.e_hat[0])
         assert res.lambda_cv == 4.0
@@ -269,6 +263,13 @@ class TestCvSelect:
         with pytest.raises(ValueError, match="does not cover"):
             cv_select(ds, stray, [1.0])
 
+    @pytest.mark.parametrize("k, fold", [(1, 0), (2, 0), (3, 2)])
+    def test_rejects_plan_with_an_empty_training_set(self, k, fold):
+        _, ds = self.make_instance(n=20, seed=29)
+        plan = FoldPlan(k=k, assignments=np.full(ds.n, fold))
+        with pytest.raises(ValueError, match=f"fold {fold} holds all 20 observations"):
+            cv_select(ds, plan, [1.0])
+
     def test_cv_error_close_to_oracle_error(self):
         d, r, n = 20, 2, 1200
         spec = MatrixCompletion(d, d, plain_entries=True)
@@ -307,13 +308,13 @@ class TestStopRule:
         plan = FoldPlan(k=3, assignments=np.arange(6) % 3)
         pulled = []
         b_hats = [np.diag([np.sqrt(e), 0.0]) for e in script]
-        monkeypatch.setattr(crossval, "solve_path", stub_path(b_hats, pulled))
         grid = [2.0**-j for j in range(len(script))]
+        monkeypatch.setattr(crossval, "solve_rung", stub_rung(grid, b_hats, pulled))
         res = cv_select(ds, plan, grid)
         # rungs are first solved in order and none past the stop; a probe
         # whose rise is not clear re-solves its rung (and a kept probe before it)
         assert list(dict.fromkeys(j for j, _ in pulled)) == list(range(walked))
-        assert {j for j, sent in pulled if sent is None} >= set(range(walked - crossval.CV_STOP_RISES))
+        assert {j for j, at in pulled if at == SolverConfig()} >= set(range(walked - crossval.CV_STOP_RISES))
         assert res.lambda_grid == grid[:walked]
         assert res.e_hat.tolist() == script[:walked]
         assert len(res.per_fold_estimates) == walked
@@ -351,24 +352,29 @@ class TestProbedRises:
         ),
     }
 
-    @pytest.mark.parametrize("case", CASES, ids=str)
-    def test_matches_the_walk_without_probes(self, case, monkeypatch):
-        script, loose, solves, best = self.CASES[case]
+    def scripted(self, case):
+        """(dataset, fold plan, grid, fits at cfg, probe fits) of a case."""
+        script, loose, _, _ = self.CASES[case]
         ms = EntrySet(np.zeros(6), np.zeros(6), np.ones(6), 2, 2)
         ds = Dataset(MatrixCompletion(2, 2, plain_entries=True), ms, np.zeros(6), 0.0, seed=0)
         plan = FoldPlan(k=3, assignments=np.arange(6) % 3)
         b_hats = [np.diag([np.sqrt(e), 0.0]) for e in script]
         probed = [np.diag([np.sqrt(loose.get(j, e)), 0.0]) for j, e in enumerate(script)]
-        grid = [2.0**-j for j in range(len(script))]
+        return ds, plan, [2.0**-j for j in range(len(script))], b_hats, probed
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_matches_the_walk_without_probes(self, case, monkeypatch):
+        _, _, solves, best = self.CASES[case]
+        ds, plan, grid, b_hats, probed = self.scripted(case)
         runs = {}
         for cfg in (SolverConfig(), self.PROBE):
             pulled = []
-            monkeypatch.setattr(crossval, "solve_path", stub_path(b_hats, pulled, probed))
+            monkeypatch.setattr(crossval, "solve_rung", stub_rung(grid, b_hats, pulled, probed, cfg))
             runs[cfg] = cv_select(ds, plan, grid, cfg), pulled
         (res, pulled), (exact, exact_pulled) = runs[SolverConfig()], runs[self.PROBE]
-        assert pulled == [(j, self.PROBE if probe else None) for j, probe in solves]
-        # the caller's tolerance at the probe's: nothing is sent
-        assert exact_pulled == [(j, None) for j in range(len(exact.lambda_grid))]
+        assert pulled == [(j, self.PROBE if probe else SolverConfig()) for j, probe in solves]
+        # the caller's tolerance at the probe's: no rung is probed
+        assert exact_pulled == [(j, self.PROBE) for j in range(len(exact.lambda_grid))]
         assert res.lambda_grid == exact.lambda_grid
         assert res.lambda_cv == exact.lambda_cv == grid[best]
         assert np.array_equal(res.b_cv, exact.b_cv)
@@ -376,6 +382,22 @@ class TestProbedRises:
         assert res.e_hat[:kept].tolist() == exact.e_hat[:kept].tolist()
         for row, ref in zip(res.per_fold_estimates[:kept], exact.per_fold_estimates[:kept], strict=True):
             assert all(np.array_equal(est.b_hat, r.b_hat) for est, r in zip(row, ref, strict=True))
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_each_rung_starts_from_the_rows_solved_last_before_it(self, case, monkeypatch):
+        # a probe starts from the rows before it, probes or not; after a
+        # probe that is not a clear rise, the rung solved at cfg starts
+        # from the rows last solved at cfg
+        ds, plan, grid, b_hats, probed = self.scripted(case)
+        pulled, calls = [], []
+        monkeypatch.setattr(crossval, "solve_rung", stub_rung(grid, b_hats, pulled, probed, calls=calls))
+        cv_select(ds, plan, grid)
+        latest = {}
+        for (j, _), (x0s, row) in zip(pulled, calls, strict=True):
+            want = [None] * plan.k if j == 0 else solvers.secant_start(grid, j - 1, latest.get(j - 2), latest[j - 1])
+            assert len(x0s) == len(want) == plan.k
+            assert all(x0 is w is None or np.array_equal(x0, w) for x0, w in zip(x0s, want))
+            latest[j] = row
 
 
 SPECS = [
@@ -388,7 +410,7 @@ SPECS = [
 
 class TestLockstepFolds:
     """cv_select solves the K folds of one lam in lockstep; every fold fit
-    must be the one a lone solve_convex gives from solve_path's start: the
+    must be the one a lone solve_convex gives from the walk's start: the
     previous rung's fit at rung 1, its secant prediction from rung 2 on."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)

@@ -59,6 +59,15 @@ class TestConfig:
             ExperimentConfig(experiment="exact_recovery", sigma=1.0)
         with pytest.raises(ConfigError, match="more than once: cv$"):
             ExperimentConfig(estimators=("cv", "oracle", "cv"))
+        for overrides in (dict(calib_reps=9), dict(calib_reps=0), dict(calib_quantile=0.0),
+                          dict(calib_quantile=1.5), dict(calib_quantile=float("nan")), dict(trials=0)):
+            with pytest.raises(ConfigError, match=f"^{next(iter(overrides))} must"):
+                ExperimentConfig(**overrides)
+        with pytest.raises(ConfigError, match="k_folds must not exceed the smallest n for cv, got 100 > 60"):
+            ExperimentConfig(n_grid=(60, 200), k_folds=100)
+        # folds are drawn only for cv
+        ExperimentConfig(n_grid=(60, 200), k_folds=100, estimators=("oracle", "theory1"))
+        ExperimentConfig(experiment="rsc_probe", n_grid=(60,), k_folds=100)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -281,14 +290,14 @@ class TestRunFigure1:
         top = lambda_max(ds)
         grid = lambda_grid(top, experiments._CV_FLOOR * top)
         solved_at = {}  # id of each lockstep row -> the config it was solved at
-        rung = solvers._lockstep_rung
+        rung = crossval.solve_rung
 
         def recording(sets, lam, at, x0s):
             row = rung(sets, lam, at, x0s)
             solved_at[id(row)] = at
             return row
 
-        monkeypatch.setattr(solvers, "_lockstep_rung", recording)
+        monkeypatch.setattr(crossval, "solve_rung", recording)
         res = cv_select(ds, plan, grid, experiments._FIG1_SOLVER)
         monkeypatch.undo()
         walked = len(res.lambda_grid)
@@ -708,6 +717,13 @@ class TestCli:
         assert not out.exists()
         assert main([*argv, "--estimators", "oracle,cv", "--out-dir", str(out)]) == 0
         assert (out / "records.csv").exists()
+
+    def test_rsc_probe_with_no_trials_exits_2_before_calibrating(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["rsc-probe", "--d", "6", "--r", "1", "--n", "60", "--calib-reps", "20", "--trials", "0"]
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: trials must be at least 1, got 0"]
+        assert not out.exists()  # no calibration cache
 
     def test_infeasible_rsc_probe_floor_exits_2_with_one_line(self, tmp_path, capsys):
         # a 1000x multiplier puts the constraint-set floor nu beyond any 6x6 draw

@@ -13,7 +13,7 @@ hold whatever path the iterates take.
   the operator norm, which the square experiments never reach.
 
 Each property runs over the four ensembles with d_r != d_c, for a lone
-solve_convex, cross-validation (lockstep solve_path over the folds,
+solve_convex, cross-validation (lockstep solve_rung over the folds,
 secant-started from rung 2 on) and solve_noiseless, all at
 rel_obj_tol=1e-12.  The factored solver (rank 2, above the truth's rank
 1) keeps the scaling, permutation and duplication relations too: its

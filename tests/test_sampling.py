@@ -526,6 +526,23 @@ class TestIndexBounds:
         with pytest.raises(ValueError, match="rows must lie in"):
             RowVectorSet([0, row], np.ones((2, 4)), 3, 4)
 
+    @pytest.mark.parametrize("rows,cols,field", [([0.5, 1.9], [0, 1.7], "rows"), ([0, 1], [0, 1.7], "cols"),
+                                                 ([0, np.nan], [0, 1], "rows"), ([0, 1], [np.inf, 0], "cols")])
+    def test_entry_set_rejects_fractional_indices(self, rows, cols, field):
+        with pytest.raises(ValueError, match=f"^{field} must be integers$"):
+            EntrySet(rows, cols, [1.0, 1.0], 2, 2)
+
+    @pytest.mark.parametrize("row", [1.99, 0.5, np.nan])
+    def test_row_vector_set_rejects_fractional_indices(self, row):
+        with pytest.raises(ValueError, match="^rows must be integers$"):
+            RowVectorSet([0, row], np.ones((2, 4)), 3, 4)
+
+    def test_integral_float_indices_accepted(self):
+        ms = EntrySet(np.zeros(6), np.ones(6), np.ones(6), 2, 2)
+        assert ms.rows.dtype == ms.cols.dtype == np.int64
+        assert ms.rows.tolist() == [0] * 6 and ms.cols.tolist() == [1] * 6
+        assert RowVectorSet(np.array([2.0, 0.0]), np.ones((2, 4)), 3, 4).rows.tolist() == [2, 0]
+
     def test_in_range_and_empty_accepted(self):
         assert len(EntrySet([0, 2], [3, 0], [1.0, 2.0], 3, 4)) == 2
         assert len(EntrySet([], [], [], 3, 4)) == 0

@@ -285,7 +285,7 @@ class TestStopReason:
     def test_stalled_fold_inside_a_batch(self, monkeypatch):
         datasets, lam, x0s, entry = stalling_batch(seed=40)
         monkeypatch.setattr(solvers, "_soft_threshold_stack", bumping_stack(entry))
-        batch = solvers._lockstep_rung(datasets, lam, SolverConfig(), x0s)
+        batch = solvers.solve_rung(datasets, lam, SolverConfig(), x0s)
         monkeypatch.undo()
         assert [est.stop_reason for est in batch] == ["rel_dec", "stalled"]
         assert batch[0].iters > 1
@@ -480,8 +480,7 @@ class TestAdaptiveStep:
 
 
 class TestSolveConvexBatch:
-    """One rung of solve_path over several same-shape problems, run in
-    lockstep."""
+    """One solve_rung over several same-shape problems, run in lockstep."""
 
     def test_matches_lone_solves_with_warm_starts(self):
         _, _, ds = mc_instance(seed=16)
@@ -492,7 +491,7 @@ class TestSolveConvexBatch:
                            (SolverConfig(max_iters=4), None)):
             with pytest.MonkeyPatch.context() as mp:
                 start_at(mp, start)
-                batch = solvers._lockstep_rung(parts, lam, cfg, x0s)
+                batch = solvers.solve_rung(parts, lam, cfg, x0s)
                 for part, x0, est in zip(parts, x0s, batch):
                     assert_same_estimate(est, solve_convex(part, lam, cfg, x0=x0))
 
@@ -501,7 +500,7 @@ class TestSolveConvexBatch:
         sizes = []
         monkeypatch.setattr(solvers, "_soft_threshold_stack", bumping_stack(entry, sizes))
         monkeypatch.setattr(solvers, "soft_threshold", None)  # the batch never takes the lone route
-        batch = solvers._lockstep_rung(datasets, lam, SolverConfig(), x0s)
+        batch = solvers.solve_rung(datasets, lam, SolverConfig(), x0s)
         assert batch[1].stop_reason == "stalled"
         # the stalled problem takes a step and a restart, then leaves
         assert sizes[:2] == [2, 2] and set(sizes[2:]) == {1}
@@ -573,43 +572,28 @@ class TestSolvePath:
                 assert_same_estimate(path[j + 1][i], solve_convex(part, grid[j + 1], x0=start))
 
     @pytest.mark.parametrize("sets", [1, 3])
-    def test_sent_configs_solve_provisional_rungs_and_plain_pulls_rewind(self, sets):
+    def test_loose_then_exact_rung_from_one_start_is_the_walks_row(self, sets):
         _, _, ds = mc_instance(seed=40)
         datasets = [ds.subset(np.arange(i, ds.n, 3)) for i in range(3)][:sets]
         grid = [frac * lambda_max(ds) for frac in (0.5, 0.3, 0.2, 0.1, 0.05, 0.02)]
         loose = SolverConfig(rel_obj_tol=1e-4)
         plain = list(solve_path(datasets, grid))
-        # (config sent, rung solved): two provisional rungs, then a rewind;
-        # one more, then a rewind; the last rung, then a rewind at the grid's end
-        script = [(None, 0), (None, 1), (loose, 2), (loose, 3), (None, 2), (None, 3),
-                  (loose, 4), (None, 4), (loose, 5), (None, 5)]
-        walk = solve_path(datasets, grid)
-        rows = [(sent, walk.send(sent)) for sent, _ in script]
-        assert [row[0].lam for _, row in rows] == [grid[j] for _, j in script]
-        for (sent, row), (_, j) in zip(rows, script):
-            if sent is None:
-                for est, ref in zip(row, plain[j], strict=True):
-                    assert_same_estimate(est, ref)
-
-        def secant(j, new, old):
-            r = (grid[j + 1] - grid[j]) / (grid[j] - grid[j - 1])
-            return new.b_hat + r * (new.b_hat - old.b_hat)
-
-        # a provisional rung starts from the rows before it, provisional or not
-        probes = {j: row for (sent, row), (_, j) in zip(rows, script) if sent is not None}
-        starts = {2: (plain[1], plain[0]), 3: (probes[2], plain[1]), 4: (plain[3], plain[2]), 5: (plain[4], plain[3])}
-        for j, row in probes.items():
+        warm, prev = [None] * sets, None
+        for j, lam in enumerate(grid):
+            probe = solvers.solve_rung(datasets, lam, loose, warm)
+            row = solvers.solve_rung(datasets, lam, SolverConfig(), warm)
+            assert [est.lam for est in probe + row] == [lam] * (2 * sets)
             for i, part in enumerate(datasets):
-                start = secant(j - 1, starts[j][0][i], starts[j][1][i])
-                assert_same_estimate(row[i], solve_convex(part, grid[j], loose, x0=start))
-                assert row[i].iters < plain[j][i].iters
-        with pytest.raises(StopIteration):
-            next(walk)
+                assert_same_estimate(probe[i], solve_convex(part, lam, loose, x0=warm[i]))
+                assert_same_estimate(row[i], plain[j][i])
+                if j >= 2:
+                    assert probe[i].iters < plain[j][i].iters
+            warm, prev = solvers.secant_start(grid, j, prev, row), row
+        # a value sent into the walk is ignored: the next rung is solved at cfg
         walk = solve_path(datasets, grid)
-        for _ in grid:
-            next(walk)
-        with pytest.raises(StopIteration):
-            walk.send(loose)
+        next(walk)
+        for est, ref in zip(walk.send(loose), plain[1], strict=True):
+            assert_same_estimate(est, ref)
 
     def test_noiseless_ladder_takes_fewer_prox_steps_than_a_plain_chain(self, monkeypatch):
         d, r = 20, 2
