@@ -124,8 +124,9 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
     a lam in one :func:`~tracereg.solvers.solve_rung` at ``cfg``: the
     first lam's fits are cold, and each later one starts from
     :func:`~tracereg.solvers.secant_start` of the fold's fits before it.
-    ``grid`` is checked as solve_path checks it; no fold may hold every
-    observation.
+    ``grid`` is checked as solve_path checks it; the fold assignments must
+    be integers, and every fold must hold between 1 and n - 1
+    observations.
     ``e_hat[j]`` is the per-sample out-of-fold prediction error
     (1/n) sum_k ||y_k - X_k(B_{-k})||^2 at grid[j], stored per sample so it
     compares directly with per-observation noise levels.
@@ -156,11 +157,15 @@ def cv_select(ds: Dataset, plan: FoldPlan, grid, cfg: SolverConfig = SolverConfi
     Suzuki, Karasuyama & Takeuchi 2015; Ndiaye, Le, Fercoq, Salmon &
     Takeuchi 2019).
     """
+    if not np.issubdtype(np.asarray(plan.assignments).dtype, np.integer):
+        raise ValueError("fold assignments must be integers")
     if len(plan.assignments) != ds.n or np.any((plan.assignments < 0) | (plan.assignments >= plan.k)):
         raise ValueError("fold plan does not cover the dataset")
     sizes = plan.sizes()
     if np.any(sizes == ds.n):
         raise ValueError(f"fold {int(np.argmax(sizes))} holds all {ds.n} observations, so its training set is empty")
+    if np.any(sizes == 0):
+        raise ValueError(f"fold {int(np.argmin(sizes))} holds no observations; each fold needs 1 to {ds.n - 1}")
     grid = _checked_grid(grid)
     holds = [ds.subset(plan.indices(fold)) for fold in range(plan.k)]
     trains = [ds.subset(plan.complement(fold)) for fold in range(plan.k)]

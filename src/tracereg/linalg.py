@@ -254,15 +254,15 @@ def _soft_threshold_stack(ms, taus, singulars: np.ndarray | None = None) -> list
     gram = np.empty((len(mats), r, r))
     # Gram p is that of m_p * 2^-e_p: its singular values shrink by
     # tau_p * 2^-e_p, and the ratios (s_k - tau) / s_k below are m_p's own
-    exps = [_gram(m, out=g)[1] for m, g in zip(mats, gram)]
-    taus = np.ldexp(taus, np.negative(exps)) if any(exps) else taus
+    exps = np.array([_gram(m, out=g)[1] for m, g in zip(mats, gram)])
+    taus = np.ldexp(taus, -exps)
     _, s2, vh = np.linalg.svd(gram, hermitian=True)
     s = np.sqrt(s2)
     shrunk = np.maximum(s - taus[:, None], 0.0)
     if singulars is not None:
         if singulars.shape != s.shape:
             raise ValueError(f"singulars buffer has shape {singulars.shape}, need {s.shape}")
-        singulars[...] = np.ldexp(shrunk, np.array(exps)[:, None]) if any(exps) else shrunk
+        singulars[...] = np.ldexp(shrunk, exps[:, None])
     outs = []
     for m, tau, sp, vp, shrunk_p in zip(mats, taus, s, vh, shrunk):
         # a V_k diag((s_k - tau) / s_k) V_k^T, transposed back when a is m^T

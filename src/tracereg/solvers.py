@@ -18,15 +18,14 @@ The convex solve is written once, as a generator that yields its prox
 inputs, and run by one loop (``_drive``) given the prox: soft_threshold
 in ``solve_convex``, the stacked kernel (``linalg._soft_threshold_stack``,
 which soft_threshold calls on one matrix, so the two agree bit for bit)
-in a lockstep rung.  A walk down a decreasing lam grid takes two steps
-per rung: ``solve_rung`` solves the rung for one problem, or for several
-same-shape problems (the K cross-validation folds) in lockstep, and
-``secant_start`` forms the next rung's starts, from the third rung on by
-the secant predictor of numerical continuation.  ``solve_path`` is the
-plain walk on the two, behind the figure1 full-data fits and the
-noiseless continuation ladder; cross-validation takes the two steps
-itself, to stop early and to solve loosely the rungs likely past its
-minimum.
+in a lockstep rung.  A walk down a decreasing lam grid starts each rung
+from ``secant_start`` of the rungs before it, from the third rung on by
+the secant predictor of numerical continuation.  ``solve_path`` walks
+each dataset as a chain of lone ``solve_convex`` calls, behind the
+figure1 full-data fits and the noiseless continuation ladder;
+cross-validation walks its K same-shape folds itself, one ``solve_rung``
+per rung in lockstep, to stop early and to solve loosely the rungs
+likely past its minimum.
 """
 
 from __future__ import annotations
@@ -105,8 +104,8 @@ class Estimate:
 
 def objective(ds: Dataset, lam: float, b) -> float:
     """Penalized loss (1/n)||y - X(b)||_2^2 + lam * ||b||_*."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be non-negative and finite")
     b = np.asarray(b, dtype=float)
     return _penalized_loss(ds, lam, ds.measurements.apply(b), matrix_norm(b, "nuclear"))
 
@@ -185,8 +184,8 @@ def _apg(ds: Dataset, lam: float, cfg: SolverConfig, x0: np.ndarray | None):
     generator: it yields each prox input (m, tau), is sent back the prox
     output with its shrunk singular values, and returns the Estimate; see
     :func:`solve_convex`."""
-    if lam <= 0:
-        raise ValueError("lam must be positive for the convex solver")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite for the convex solver")
     ms = ds.measurements
     step = None
     if x0 is None:
@@ -276,30 +275,26 @@ def solve_convex(
 
 
 def _checked_grid(grid) -> list[float]:
-    """``grid`` as floats, checked to be non-empty, strictly decreasing and
-    positive."""
+    """``grid`` as floats, checked to be non-empty, strictly decreasing,
+    positive and finite."""
     grid = [float(lam) for lam in grid]
     if not grid:
         raise ValueError("lam grid must be non-empty")
     if not all(a > b for a, b in zip(grid, grid[1:])):
         raise ValueError("lam grid must be strictly decreasing")
-    if not grid[-1] > 0:
-        raise ValueError("lam must be positive for the convex solver")
+    if not (grid[-1] > 0 and grid[0] < np.inf):
+        raise ValueError("lam must be positive and finite for the convex solver")
     return grid
 
 
 def solve_rung(datasets, lam: float, cfg: SolverConfig, x0s) -> list[Estimate]:
     """Solve every dataset at ``lam``, each from its start in ``x0s`` (None:
-    zero), as one rung of a walk down a lam grid.  One dataset is solved
-    by solve_convex itself.  Several, of one measurement shape, run in
-    lockstep: each keeps its own step, momentum, restart and stop state
-    and leaves when it stops, and each round takes the prox steps of the
-    problems still running from one stacked symmetric SVD, so every
-    Estimate equals a lone solve_convex's from the same start."""
-    if len(datasets) == 1:
-        # a lone solve through solve_convex, so its prox steps are
-        # soft_threshold calls inside it, as bench/tracer.py counts them
-        return [solve_convex(datasets[0], lam, cfg, x0s[0])]
+    zero), in lockstep, as one rung of the cross-validation folds' walk
+    down a lam grid.  The datasets share one measurement shape; each keeps
+    its own step, momentum, restart and stop state and leaves when it
+    stops, and each round takes the prox steps of the problems still
+    running from one stacked symmetric SVD, so every Estimate equals a
+    lone solve_convex's from the same start."""
     if len({ds.measurements.shape for ds in datasets}) > 1:
         raise ValueError("batched problems must share one matrix shape")
     return _drive([_apg(ds, lam, cfg, x0) for ds, x0 in zip(datasets, x0s)], _soft_threshold_stack)
@@ -328,16 +323,19 @@ def solve_path(datasets, grid, cfg: SolverConfig = SolverConfig()) -> Iterator[l
     later rungs unsolved.  The arguments are checked at the first pull,
     before any solve.
 
-    Each rung is one :func:`solve_rung`, from zero at rung 0 and from
-    :func:`secant_start` of the rows before it after that.  That start is
-    formed before a row is yielded, so rung j-1's solutions are dropped
-    before rung j+1 is solved.
+    Each dataset's walk is a chain of lone solve_convex calls, from zero
+    at rung 0 and from :func:`secant_start` of the rows before it after
+    that; the datasets may differ in shape.  That start is formed before
+    a row is yielded, so rung j-1's solutions are dropped before rung j+1
+    is solved.
     """
     grid = _checked_grid(grid)
     datasets = list(datasets)
     warm, prev = [None] * len(datasets), None
     for j, lam in enumerate(grid):
-        row = solve_rung(datasets, lam, cfg, warm)
+        # lone solves through the module-global solve_convex, whose prox
+        # steps bench/tracer.py counts as soft_threshold calls inside it
+        row = [solve_convex(ds, lam, cfg, x0) for ds, x0 in zip(datasets, warm)]
         warm, prev = secant_start(grid, j, prev, row), row
         yield row
 
@@ -389,8 +387,8 @@ def solve_factored(
     factored objective is non-increasing per sweep.  The returned
     Estimate reports the convex penalized loss at U V^T.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive for the factored solver")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite for the factored solver")
     d_r, d_c = ds.measurements.shape
     if not 1 <= r <= min(d_r, d_c):
         raise ValueError("rank out of range")

@@ -9,9 +9,11 @@ thresholds for exact recovery.
 The experiments need only the calibrated quantile and take it from
 ``_noise_quantile``, which finds the same value bit for bit by certified
 screening: a draw whose norm a Cholesky certificate proves below the
-running k-th largest is skipped without an eigenvalue solve.  The
-screen forms every such draw's Gram matrix and its shifted copy in two
-buffers allocated once per calibration.
+running k-th largest is skipped without an eigenvalue solve.  Every
+draw goes through that screen (``linalg._operator_norm_unless_below``),
+which forms its Gram matrix and shifted copy in two buffers allocated
+once per calibration, so all of the calibration's eigenvalue solves are
+the screen's.
 
 Absolute constants that the bounds leave unspecified are explicit
 parameters defaulting to 1; values computed with the defaults are
@@ -142,21 +144,20 @@ def _noise_quantile(
     bit for bit, leaving ``rng`` in the same state, from only the operator
     norms that can reach it.
 
-    The k largest norms so far sit in a min-heap whose root t is the
-    running k-th largest.  Once the heap holds k, a draw whose norm is
+    The k largest norms so far sit in a min-heap, seeded with k zeros,
+    whose root t is the running k-th largest.  A draw whose norm is
     certified below t cannot change the k-th largest and is skipped; only
     the others get the exact operator norm, from the Gram matrix the
-    certificate already formed.  With draws in random order about
-    k (1 + ln(reps/k)) of them do.
+    certificate already formed.  A bound of 0 certifies nothing, so each
+    of the first k draws gets its norm and replaces a seed (at sigma = 0
+    every norm is 0 and the seeds stay).  With draws in random order
+    about k (1 + ln(reps/k)) of them get the norm.
     """
     k = _quantile_rank(reps, quantile)
     d = min(spec.shape)
     buffers = (np.empty((d, d)), np.empty((d, d)))
-    top: list[float] = []
+    top = [0.0] * k
     for m in _noise_matrices(spec, n, reps, rng, _gaussian_noise(sigma, rng)):
-        if len(top) < k:
-            heapq.heappush(top, operator_norm(m))
-            continue
         value = _operator_norm_unless_below(m, top[0], buffers)
         if value is not None and value > top[0]:
             heapq.heapreplace(top, value)

@@ -253,6 +253,8 @@ class TestCvSelect:
             cv_select(ds, plan, [])
         with pytest.raises(ValueError):
             cv_select(ds, plan, [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            cv_select(ds, plan, [np.inf, 1.0])
 
     def test_rejects_plan_not_covering_dataset(self):
         _, ds = self.make_instance(n=20, seed=29)
@@ -268,6 +270,19 @@ class TestCvSelect:
         _, ds = self.make_instance(n=20, seed=29)
         plan = FoldPlan(k=k, assignments=np.full(ds.n, fold))
         with pytest.raises(ValueError, match=f"fold {fold} holds all 20 observations"):
+            cv_select(ds, plan, [1.0])
+
+    def test_rejects_plan_with_an_empty_fold(self, monkeypatch):
+        _, ds = self.make_instance(n=20, seed=29)
+        monkeypatch.setattr(crossval, "solve_rung", None)  # refused before any fit
+        plan = FoldPlan(k=3, assignments=np.arange(ds.n) % 2)
+        with pytest.raises(ValueError, match="fold 2 holds no observations"):
+            cv_select(ds, plan, [1.0])
+
+    def test_rejects_fractional_assignments(self):
+        _, ds = self.make_instance(n=20, seed=29)
+        plan = FoldPlan(k=2, assignments=np.arange(ds.n) % 2 + 0.0)
+        with pytest.raises(ValueError, match="must be integers"):
             cv_select(ds, plan, [1.0])
 
     def test_cv_error_close_to_oracle_error(self):

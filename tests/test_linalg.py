@@ -338,9 +338,11 @@ class TestGramScale:
         m = stream(44).standard_normal((4, 6))
         tau = 0.3 * np.linalg.norm(m, 2)
         ref, _ = _gesdd_soft_threshold(m, tau)
-        big, plain = _soft_threshold_stack([self.BIG * m, m], [self.BIG * tau, tau])
+        buf, ref_buf = np.full((2, 4), np.nan), np.full(4, np.nan)
+        big, plain = _soft_threshold_stack([self.BIG * m, m], [self.BIG * tau, tau], singulars=buf)
         assert np.linalg.norm(big / self.BIG - ref) <= 1e-12 * np.linalg.norm(m)
-        assert np.array_equal(plain, soft_threshold(m, tau))
+        assert np.array_equal(plain, soft_threshold(m, tau, singulars=ref_buf))
+        assert np.array_equal(buf[1], ref_buf)
 
 
 # The stacked kernel behind the lockstep cross-validation folds: P matrices

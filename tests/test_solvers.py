@@ -75,6 +75,12 @@ class TestObjective:
         oracle = float(resid @ resid) / ds.n + lam * matrix_norm(b, "nuclear")
         assert abs(objective(ds, lam, b) - oracle) < 1e-11
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_lambda_rejected(self, lam):
+        _, _, ds = mc_instance()
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            objective(ds, lam, np.zeros((12, 12)))
+
     def test_negative_lambda_rejected(self):
         _, _, ds = mc_instance()
         with pytest.raises(ValueError):
@@ -169,6 +175,15 @@ class TestSolveConvex:
         _, _, ds = mc_instance()
         with pytest.raises(ValueError):
             solve_convex(ds, 0.0)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_rejects_non_finite_lambda(self, lam):
+        # refused before the first iteration, alone and in a lockstep rung
+        _, _, ds = mc_instance()
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_convex(ds, lam)
+        with pytest.raises(ValueError, match="positive and finite"):
+            solvers.solve_rung([ds, ds], lam, SolverConfig(), [None, None])
 
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("step_scale", [1.0, 4.0])
@@ -510,7 +525,7 @@ class TestSolveConvexBatch:
         _, _, ds = mc_instance(seed=17)
         _, _, other = mc_instance(d=8, seed=18)
         with pytest.raises(ValueError, match="one matrix shape"):
-            next(solve_path([ds, other], [1.0]))
+            solvers.solve_rung([ds, other], 1.0, SolverConfig(), [None, None])
         with pytest.raises(ValueError, match="positive"):
             next(solve_path([ds], [0.0]))
         assert list(solve_path([], [1.0])) == [[]]
@@ -535,12 +550,21 @@ class TestSolvePath:
     def test_one_dataset_is_a_warm_started_chain_of_solve_convex(self, monkeypatch):
         _, _, ds = mc_instance(seed=19)
         grid = [0.5 * lambda_max(ds), 0.2 * lambda_max(ds), 0.05 * lambda_max(ds)]
-        monkeypatch.setattr(solvers, "_soft_threshold_stack", None)  # one dataset takes the lone route
+        monkeypatch.setattr(solvers, "_soft_threshold_stack", None)  # solve_path solves every dataset alone
         path = list(solve_path([ds], grid))
         monkeypatch.undo()
         assert [len(row) for row in path] == [1, 1, 1]
         for (est,), lone in zip(path, secant_chain(ds, grid)):
             assert_same_estimate(est, lone)
+
+    def test_datasets_of_different_shapes_walk_their_own_chains(self):
+        _, _, ds = mc_instance(seed=19)
+        _, _, other = mc_instance(d=8, seed=22)
+        grid = [0.5 * lambda_max(ds), 0.2 * lambda_max(ds), 0.05 * lambda_max(ds)]
+        path = list(solve_path([ds, other], grid))
+        for i, part in enumerate((ds, other)):
+            for row, lone in zip(path, secant_chain(part, grid), strict=True):
+                assert_same_estimate(row[i], lone)
 
     @pytest.mark.parametrize("sets", [1, 2])
     @pytest.mark.parametrize("rungs", [2, 3])
@@ -616,7 +640,8 @@ class TestSolvePath:
     @pytest.mark.parametrize(
         "grid, match",
         [([], "non-empty"), ([2.0, 2.0], "decreasing"), ([1.0, 2.0], "decreasing"),
-         ([2.0, float("nan")], "decreasing"), ([1.0, 0.0], "positive"), ([-1.0], "positive")],
+         ([2.0, float("nan")], "decreasing"), ([1.0, 0.0], "positive"), ([-1.0], "positive"),
+         ([float("inf"), 1.0], "finite"), ([float("inf")], "finite"), ([float("nan")], "positive")],
     )
     def test_rejects_bad_grids(self, grid, match):
         _, _, ds = mc_instance(seed=20)
@@ -635,7 +660,7 @@ class TestSolvePath:
         rows = [next(path), next(path)]
         assert solves == grid[:2] and [est.lam for (est,) in rows] == grid[:2]
         # the checks run at the first pull, before any solve
-        for datasets, bad in (([ds], [1.0, 2.0]), ([ds], []), ([ds], [0.0]), ([ds, other], grid)):
+        for datasets, bad in (([ds], [1.0, 2.0]), ([ds], []), ([ds], [0.0]), ([ds, other], [np.inf] + grid)):
             path = solve_path(datasets, bad)
             with pytest.raises(ValueError):
                 next(path)
@@ -693,6 +718,12 @@ class TestSolveFactored:
         _, _, ds = mc_instance()
         with pytest.raises(ValueError):
             solve_factored(ds, 0.1, 13)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_rejects_non_finite_lambda(self, lam):
+        _, _, ds = mc_instance()
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_factored(ds, lam, 2)
 
     @pytest.mark.parametrize(
         "spec", [MatrixCompletion(20, 20), MultiTask(20, 20), GaussianEnsemble(20, 20), FactoredMeasurement(20, 20)],
@@ -753,6 +784,22 @@ class TestSolveNoiseless:
         done = solve_noiseless(ds)
         assert done.stop_reason == "rel_dec" and done.converged
         assert done.residual <= solvers.NOISELESS_RESIDUAL_TOL
+
+    def test_zero_responses_give_the_zero_matrix(self):
+        _, _, noisy = mc_instance()
+        ds = Dataset(noisy.spec, noisy.measurements, np.zeros(noisy.n), 0.0, seed=0)
+        est = solve_noiseless(ds)
+        assert np.array_equal(est.b_hat, np.zeros((12, 12)))
+        assert est.lam == 0.0 and est.iters == 0 and est.residual == 0.0 and est.converged
+
+    def test_responses_the_adjoint_cancels_flag_nonconvergence(self):
+        # X*(y) = 1 - 1 = 0 at the one entry seen twice, so lambda_max is 0
+        # and the zero matrix leaves all of y unexplained
+        ms = EntrySet([0, 0], [0, 0], [1.0, -1.0], 2, 2)
+        ds = Dataset(MatrixCompletion(2, 2), ms, np.ones(2), 0.0, seed=0)
+        est = solve_noiseless(ds)
+        assert np.array_equal(est.b_hat, np.zeros((2, 2)))
+        assert est.residual == 1.0 and est.converged is False
 
     def test_inconsistent_data_flags_nonconvergence(self):
         # same entry observed twice with contradictory responses
