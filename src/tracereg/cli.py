@@ -1,12 +1,15 @@
 """Command line front end for the experiment runner.
 
-One subcommand per experiment (figure1, exact-recovery, rsc-probe,
-calibration), with one flag per ExperimentConfig field.  Options may also
+One subcommand per entry of experiments.EXPERIMENTS (figure1,
+exact-recovery, rsc-probe, calibration), with one flag per
+ExperimentConfig field; a runner's record list is written as CSVs and an
+SVG chart, its JSON report as <experiment>.json.  Options may also
 come from a flat key=value config file, such as a run's config.echo; a
 flag's value parses as its config-file line does.  Precedence is command
-line > file > defaults.  Exit codes: 0 success, 2 configuration error or
-any other ValueError (bad input or data), 3 I/O error; each failure
-prints one line to stderr.
+line > file > defaults.  Exit codes: 0 success, 2 configuration error
+(the config is checked when made, so a bad value such as a negative
+--seed fails before the run starts) or any other ValueError (bad input
+or data), 3 I/O error; each failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ from .experiments import (
     _parse_value,
     _write_text,
     emit_outputs,
-    run_calibration,
-    run_exact_recovery,
-    run_figure1,
-    run_rsc_probe,
     summarize,
 )
 from .sampling import ENSEMBLES
@@ -106,14 +105,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if cfg.experiment in ("figure1", "exact_recovery"):
-            records = run_figure1(cfg) if cfg.experiment == "figure1" else run_exact_recovery(cfg)
-            if records:  # figure1 with no estimators only fills the calibration cache
-                emit_outputs(records, summarize(records), cfg)
-        else:
-            report = run_rsc_probe(cfg) if cfg.experiment == "rsc_probe" else run_calibration(cfg)
-            text = json.dumps(report, separators=(",", ":"), sort_keys=True) + "\n"
+        out = EXPERIMENTS[cfg.experiment](cfg)
+        if isinstance(out, dict):
+            text = json.dumps(out, separators=(",", ":"), sort_keys=True) + "\n"
             _write_text(os.path.join(cfg.out_dir, f"{cfg.experiment}.json"), text)
+        elif out:  # figure1 with no estimators only fills the calibration cache
+            emit_outputs(out, summarize(out), cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

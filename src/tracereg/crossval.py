@@ -45,10 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Assignment of each observation to one of k folds."""
+    """Assignment of each observation to one of k folds; ``assignments``
+    may be any integer sequence and is held as an array."""
 
     k: int
     assignments: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "assignments", np.asarray(self.assignments))  # frozen
 
     def indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -63,8 +67,8 @@ class FoldPlan:
 def make_folds(n: int, k: int, rng: np.random.Generator) -> FoldPlan:
     """Random partition of [0, n) into k folds with sizes differing by at
     most one, so every fold holds at least floor(n/k) >= n/(2k) points."""
-    if not 2 <= k <= n:
-        raise ValueError("need 2 <= k <= n")
+    if not (isinstance(k, (int, np.integer)) and 2 <= k <= n):
+        raise ValueError(f"need an integer k with 2 <= k <= n, got k={k!r}")
     perm = rng.permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     for fold, block in enumerate(np.array_split(perm, k)):

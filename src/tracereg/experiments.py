@@ -42,7 +42,6 @@ __all__ = [
     "emit_outputs",
 ]
 
-EXPERIMENTS = ("figure1", "exact_recovery", "rsc_probe", "calibration")
 ALL_ESTIMATORS = ("theory1", "theory2", "theory3", "oracle", "cv")
 
 
@@ -76,7 +75,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.ensemble not in ENSEMBLES:
             raise ConfigError(f"unknown ensemble {self.ensemble!r}")
-        for name, least in (("replicates", 1), ("k_folds", 2), ("calib_reps", 10), ("trials", 1)):
+        for name, least in (("replicates", 1), ("k_folds", 2), ("seed", 0), ("calib_reps", 10), ("trials", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if len(self.n_grid) == 0 or self.n_grid[0] < 1 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -344,6 +343,12 @@ def run_calibration(cfg: ExperimentConfig) -> dict:
         **asdict(report),
         "samples": [float(v) for v in report.samples],
     }
+
+
+# the runner of each experiment by name: a record list (figure1,
+# exact_recovery) or a JSON report (rsc_probe, calibration)
+EXPERIMENTS = {"figure1": run_figure1, "exact_recovery": run_exact_recovery,
+               "rsc_probe": run_rsc_probe, "calibration": run_calibration}
 
 
 # ---------------------------------------------------------------------------

@@ -297,8 +297,5 @@ def project_perp(b, a) -> np.ndarray:
 
 def project_parallel(b, a) -> np.ndarray:
     """Complement of :func:`project_perp`; its rank is at most twice the
-    numerical rank of ``b``."""
-    b = _as_matrix(b)
-    a = _as_matrix(a)
-    _check_same_shape(a, b)
-    return a - project_perp(b, a)
+    numerical rank of ``b``; project_perp checks both inputs."""
+    return np.asarray(a, dtype=float) - project_perp(b, a)

@@ -9,6 +9,10 @@ applying the sampling operator never materializes the dense matrices:
   - GaussianEnsemble:    X dense, iid standard normal entries (DenseSet)
   - FactoredMeasurement: X = u v^T                (RankOneSet: random rank-one pair)
 
+Each ensemble is isotropic up to one scale: its constants() give
+gamma_min = gamma_max = gamma = E<X, B>^2 / ||B||_F^2, so its L2(Pi) norm
+is sqrt(gamma) ||B||_F, computed once on the base class.
+
 A dataset bundles n measurements of its ensemble's set type and shape
 with responses y_i = <B*, X_i> + eps_i.  A set type's dataclass fields
 name its arrays, and with them the keys of the dataset file.
@@ -307,8 +311,10 @@ class _EnsembleBase:
         raise NotImplementedError
 
     def l2pi_norm(self, b) -> float:
-        """Root mean square of <X, b> under the ensemble, in closed form."""
-        raise NotImplementedError
+        """Root mean square of <X, b> under the ensemble, in closed form:
+        sqrt(gamma) ||b||_F, since every ensemble here has
+        gamma_min = gamma_max =: gamma in :meth:`constants`."""
+        return float(np.sqrt(self.constants().gamma_max) * matrix_norm(b, "frobenius"))
 
     def spikiness_norm(self, b) -> float:
         """Distribution-adapted norm bounding the tail scale of <X, b>."""
@@ -359,15 +365,12 @@ class MatrixCompletion(_EnsembleBase):
         E xi^2 = d_r^2 in both xi modes."""
         return 1.0 if self.plain_entries else float(self.d_r)
 
-    def l2pi_norm(self, b):
-        # E xi^2 = d^2 in both analyzed modes cancels the 1/(d_r d_c)
-        # sampling weight only when d_r = d_c =: d; keep the general form.
-        return float(np.sqrt(self._scale**2 / (self.d_r * self.d_c)) * matrix_norm(b, "frobenius"))
-
     def spikiness_norm(self, b):
         return 2.0 * self._scale * matrix_norm(b, "linf")
 
     def constants(self):
+        # E <X, B>^2 = E xi^2 * mean_ij B_ij^2: the scale^2 of both xi modes
+        # over the 1/(d_r d_c) sampling weight, for any d_r, d_c
         gamma = self._scale**2 / (self.d_r * self.d_c)
         # Infimum of ||B||_F^2 / (2 scale ||B||_inf)^2 is attained by a
         # single-entry matrix.
@@ -386,9 +389,6 @@ class MultiTask(_EnsembleBase):
         vecs = rng.normal(0.0, np.sqrt(float(self.d_r)), size=(n, self.d_c))
         return RowVectorSet(rows, vecs, self.d_r, self.d_c)
 
-    def l2pi_norm(self, b):
-        return float(matrix_norm(b, "frobenius"))
-
     def spikiness_norm(self, b):
         return 2.0 * np.sqrt(float(self.d_r)) * matrix_norm(b, "l_pq", p=2, q=np.inf)
 
@@ -406,9 +406,6 @@ class GaussianEnsemble(_EnsembleBase):
 
     def sample_batch(self, n, rng):
         return DenseSet(rng.standard_normal((n, self.d_r, self.d_c)))
-
-    def l2pi_norm(self, b):
-        return float(matrix_norm(b, "frobenius"))
 
     def spikiness_norm(self, b):
         return 2.0 * matrix_norm(b, "frobenius")
@@ -431,9 +428,6 @@ class FactoredMeasurement(_EnsembleBase):
         us = rng.standard_normal((n, self.d_r))
         vs = rng.standard_normal((n, self.d_c))
         return RankOneSet(us, vs)
-
-    def l2pi_norm(self, b):
-        return float(matrix_norm(b, "frobenius"))
 
     def spikiness_norm(self, b):
         # Implementable upper bound on the exponential-tail (psi_1) norm
@@ -504,13 +498,10 @@ def generate_dataset(spec: EnsembleSpec, b_star, n: int, sigma: float, seed: int
     eps_i ~ N(0, sigma^2); sigma=0 gives exact noiseless responses."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    b_star = np.asarray(b_star, dtype=float)
-    if b_star.shape != spec.shape:
-        raise ValueError(f"b_star shape {b_star.shape} does not match spec {spec.shape}")
     rng = stream(seed)
     ms = spec.sample_batch(n, rng)
+    # apply rejects a b_star of the wrong shape, and the Dataset a negative
+    # or non-finite sigma (one <= 0 draws no noise)
     y = ms.apply(b_star)
     if sigma > 0:
         y = y + rng.normal(0.0, sigma, size=n)

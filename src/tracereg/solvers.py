@@ -362,8 +362,7 @@ def _drive(solves: list, prox) -> list[Estimate]:
 
 
 def _factored_objective(ds: Dataset, lam: float, u: np.ndarray, v: np.ndarray) -> float:
-    resid = ds.y - ds.measurements.apply(u @ v.T)
-    return float(resid @ resid / ds.n + 0.5 * lam * (np.sum(u * u) + np.sum(v * v)))
+    return _penalized_loss(ds, lam, ds.measurements.apply(u @ v.T), 0.5 * (np.sum(u * u) + np.sum(v * v)))
 
 
 def _ridge_block(design: np.ndarray, y: np.ndarray, lam: float, n: int) -> np.ndarray:

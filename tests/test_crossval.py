@@ -100,6 +100,8 @@ class TestMakeFolds:
             make_folds(4, 5, stream(3))
         with pytest.raises(ValueError):
             make_folds(4, 1, stream(3))
+        with pytest.raises(ValueError, match="2 <= k <= n"):
+            make_folds(40, 2.5, stream(3))
 
 
 class TestLambdaGrid:
@@ -278,6 +280,17 @@ class TestCvSelect:
         plan = FoldPlan(k=3, assignments=np.arange(ds.n) % 2)
         with pytest.raises(ValueError, match="fold 2 holds no observations"):
             cv_select(ds, plan, [1.0])
+
+    def test_list_plan_is_the_array_plan(self):
+        _, ds = self.make_instance(n=40, seed=29)
+        listed = FoldPlan(2, [i % 2 for i in range(ds.n)])
+        array = FoldPlan(2, np.arange(ds.n) % 2)
+        for fold in range(2):
+            assert np.array_equal(listed.indices(fold), array.indices(fold))
+            assert np.array_equal(listed.complement(fold), array.complement(fold))
+        a, b = cv_select(ds, listed, [1.0, 0.5]), cv_select(ds, array, [1.0, 0.5])
+        assert a.lambda_grid == b.lambda_grid and a.lambda_cv == b.lambda_cv and a.converged == b.converged
+        assert np.array_equal(a.e_hat, b.e_hat) and np.array_equal(a.b_cv, b.b_cv)
 
     def test_rejects_fractional_assignments(self):
         _, ds = self.make_instance(n=20, seed=29)

@@ -60,7 +60,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="more than once: cv$"):
             ExperimentConfig(estimators=("cv", "oracle", "cv"))
         for overrides in (dict(calib_reps=9), dict(calib_reps=0), dict(calib_quantile=0.0),
-                          dict(calib_quantile=1.5), dict(calib_quantile=float("nan")), dict(trials=0)):
+                          dict(calib_quantile=1.5), dict(calib_quantile=float("nan")), dict(trials=0),
+                          dict(seed=-1)):
             with pytest.raises(ConfigError, match=f"^{next(iter(overrides))} must"):
                 ExperimentConfig(**overrides)
         with pytest.raises(ConfigError, match="k_folds must not exceed the smallest n for cv, got 100 > 60"):
@@ -602,7 +603,7 @@ class TestCli:
             payload = dict(z)
         payload["rows"] = np.r_[-1, payload["rows"][1:]]
         np.savez(path, **payload)
-        monkeypatch.setattr(cli, "run_figure1", lambda cfg: load_dataset(path))
+        monkeypatch.setitem(experiments.EXPERIMENTS, "figure1", lambda cfg: load_dataset(path))
         assert main(["figure1", "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: rows must lie in [0, 4)"]
 
@@ -764,7 +765,7 @@ class TestCli:
         def fail(cfg):
             raise ValueError("injected failure")
 
-        monkeypatch.setattr(cli, "run_figure1", fail)
+        monkeypatch.setitem(experiments.EXPERIMENTS, "figure1", fail)
         code = main(["figure1", "--d", "6", "--n", "50", "--out-dir", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == "error: injected failure\n"

@@ -194,6 +194,10 @@ class TestProjections:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             project_perp(np.zeros((2, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            project_parallel(np.zeros((2, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            project_parallel(np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_nuclear_additivity_on_perp_component(self):
         rng = stream(13)

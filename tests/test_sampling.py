@@ -267,11 +267,27 @@ class TestGenerateDataset:
         b = np.zeros((3, 3))
         with pytest.raises(ValueError):
             generate_dataset(spec, b, 0, 1.0, seed=0)
-        with pytest.raises(ValueError):
+        # the shape is checked by apply, sigma by the Dataset
+        with pytest.raises(ValueError, match="does not match"):
             generate_dataset(spec, np.zeros((2, 2)), 5, 1.0, seed=0)
+        for sigma in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
+                generate_dataset(spec, b, 5, sigma, seed=0)
 
 
 class TestL2PiNorm:
+    SCALED = [cls(5, 7) for cls in ENSEMBLES.values()] + [
+        MatrixCompletion(5, 7, xi_mode="deterministic_d"), MatrixCompletion(5, 7, plain_entries=True)]
+
+    @pytest.mark.parametrize("spec", SCALED, ids=repr)
+    def test_is_root_gamma_times_frobenius(self, spec):
+        # the one closed form holds because every ensemble is isotropic up to its scale
+        gamma = spec.constants().gamma_min
+        assert gamma == spec.constants().gamma_max
+        for scale in (1e-5, 1.0, 1e5):
+            b = scale * stream(27).standard_normal((5, 7))
+            assert spec.l2pi_norm(b) == float(np.sqrt(gamma) * np.linalg.norm(b, "fro"))
+
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{getattr(s, 'xi_mode', '')}")
     def test_identity_matrix(self, spec):
         assert spec.l2pi_norm(np.eye(6)) == pytest.approx(np.sqrt(6.0))
